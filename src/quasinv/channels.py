@@ -13,13 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream, eig_herm4, jacobi_eigh
+from .numerics import RngStream, eig_herm4
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 IDENTITY2 = np.eye(2, dtype=complex)
+_PAULI4 = np.stack([IDENTITY2, *PAULIS])
+# Choi basis: the channel sending sigma_b to sigma_a has Choi matrix
+# kron(conj(sigma_b), sigma_a) / 2, indexed [a, b] here.
+_CHOI_BASIS = 0.5 * np.einsum("bij,akl->abikjl", _PAULI4.conj(), _PAULI4).reshape(4, 4, 4, 4)
 
 TP_TOL = 1e-10
 CPTP_TOL = 1e-9
@@ -97,8 +101,7 @@ class AffineChannel:
         cnorm = float(np.linalg.norm(c))
         if cnorm > 1.0 + BLOCH_TOL:
             raise ValueError(f"translation vector outside the ball: |c| = {cnorm}")
-        gram_eigs, _ = jacobi_eigh(m.T @ m)
-        smax = float(np.sqrt(max(gram_eigs[0], 0.0)))
+        smax = float(np.sqrt(max(np.linalg.eigvalsh(m.T @ m)[-1], 0.0)))
         if smax > 1.0 + CPTP_TOL:
             raise ValueError(f"largest singular value of m is {smax} > 1")
         self.m = m
@@ -113,14 +116,9 @@ def kraus_to_affine(k: KrausChannel) -> AffineChannel:
     """Affine (m, c) of a Kraus channel: m_ij = Tr(s_i E(s_j))/2, c_i = Tr(s_i E(I))/2."""
     if k.tp_residual() > TP_TOL:
         raise ValueError("Kraus set is not trace preserving")
-    m = np.empty((3, 3))
-    for j in range(3):
-        out = k.evaluate(PAULIS[j])
-        for i in range(3):
-            m[i, j] = 0.5 * np.trace(PAULIS[i] @ out).real
-    e_id = k.evaluate(IDENTITY2)
-    c = np.array([0.5 * np.trace(PAULIS[i] @ e_id).real for i in range(3)])
-    return AffineChannel(m, c)
+    ops = np.array(k.operators)
+    t = 0.5 * np.einsum("aij,kjl,blm,kim->ab", _PAULI4[1:], ops, _PAULI4, ops.conj()).real
+    return AffineChannel(t[:, 1:], t[:, 0])
 
 
 def apply(e: AffineChannel, r) -> np.ndarray:
@@ -194,30 +192,17 @@ def unitary_to_affine(u: UnitaryParams) -> AffineChannel:
     return AffineChannel(m, np.zeros(3))
 
 
-def _affine_evaluate(e: AffineChannel, x: np.ndarray) -> np.ndarray:
-    """Channel action on a 2x2 matrix reconstructed from the affine data.
-
-    Decompose x = (Tr x) I/2 + sum_j Tr(s_j x) s_j / 2; the map sends I to
-    I + c.sigma and s_j to sum_i m_ij s_i (trace preservation is built in).
-    """
-    t0 = np.trace(x)
-    out = 0.5 * t0 * (IDENTITY2 + e.c[0] * SIGMA_X + e.c[1] * SIGMA_Y + e.c[2] * SIGMA_Z)
-    for j in range(3):
-        tj = np.trace(PAULIS[j] @ x)
-        img = e.m[0, j] * SIGMA_X + e.m[1, j] * SIGMA_Y + e.m[2, j] * SIGMA_Z
-        out += 0.5 * tj * img
-    return out
-
-
 def choi(e: AffineChannel) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) E(|i><j|); Hermitian, trace 2."""
-    c = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            eij = np.zeros((2, 2), dtype=complex)
-            eij[i, j] = 1.0
-            c += np.kron(eij, _affine_evaluate(e, eij))
-    return c
+    """Choi matrix sum_ij |i><j| (x) E(|i><j|); Hermitian, trace 2.
+
+    Built from the Pauli-transfer matrix T = [[1, 0], [c, m]], the map
+    sigma_b -> sum_a T_ab sigma_a.
+    """
+    t = np.zeros((4, 4))
+    t[0, 0] = 1.0
+    t[1:, 0] = e.c
+    t[1:, 1:] = e.m
+    return np.einsum("ab,abxy->xy", t, _CHOI_BASIS)
 
 
 @dataclass

@@ -12,6 +12,7 @@ error, 3 CPTP validation failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,9 +25,10 @@ from .documents import (
     kraus_document,
     parse_channel_document,
 )
-from .inverter import build_q, quasi_inverse
-from .metrics import mstd_analytic, mstd_monte_carlo, mstd_surface_analytic
+from .inverter import _solve
+from .metrics import MC_MIN_SAMPLES, mstd_analytic, mstd_monte_carlo, mstd_surface_analytic
 from .numerics import ConvergenceError, RngStream
+from .oracle import BRUTE_FORCE_MIN_SAMPLES
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -36,8 +38,7 @@ EXIT_VERIFY = 4
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DocumentError as exc:
@@ -50,6 +51,7 @@ def main(argv=None) -> int:
         return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasinv",
@@ -102,7 +104,10 @@ def _add_format(sub_parser) -> None:
 
 
 def _emit_error(code: str, message: str) -> None:
-    print(dumps({"error": {"code": code, "message": message}}, indent=2))
+    try:
+        print(dumps({"error": {"code": code, "message": message}}, indent=2))
+    except BrokenPipeError:
+        pass
     print(f"error: {message}", file=sys.stderr)
 
 
@@ -135,17 +140,28 @@ def _affine_json(e) -> dict:
     return {"m": documents.real_matrix_to_json(e.m), "c": [float(x) for x in e.c]}
 
 
-def cmd_analyze(args) -> int:
-    parsed = _read_document(args.path)
+def _validated(parsed: ParsedChannel, fmt: str) -> dict | None:
+    """Input, affine form and CPTP report of a channel, as a document.
+
+    For a channel that fails the check, prints that document, reports the
+    failure on stderr and returns None.
+    """
     channel = parsed.kraus if parsed.kraus is not None else parsed.affine
     report = validate_cptp(channel)
     doc = {"input": parsed.doc, "affine": _affine_json(parsed.affine), "cptp": _cptp_json(report)}
-    if not report.passed:
-        _print_doc(doc, args.format)
-        print("error: channel failed the CPTP check", file=sys.stderr)
+    if report.passed:
+        return doc
+    _print_doc(doc, fmt)
+    print("error: channel failed the CPTP check", file=sys.stderr)
+    return None
+
+
+def cmd_analyze(args) -> int:
+    parsed = _read_document(args.path)
+    doc = _validated(parsed, args.format)
+    if doc is None:
         return EXIT_CPTP
-    qf = build_q(parsed.affine)
-    result = quasi_inverse(parsed.affine)
+    result, qf = _solve(parsed.affine)
     doc.update(
         {
             "mstd_before": result.mstd_before,
@@ -166,15 +182,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mstd(args) -> int:
-    parsed = _read_document(args.path)
-    channel = parsed.kraus if parsed.kraus is not None else parsed.affine
-    report = validate_cptp(channel)
-    if not report.passed:
-        _print_doc(
-            {"input": parsed.doc, "affine": _affine_json(parsed.affine), "cptp": _cptp_json(report)},
-            args.format,
+    if args.monte_carlo is not None and args.monte_carlo < MC_MIN_SAMPLES:
+        raise DocumentError(
+            f"--monte-carlo must be at least {MC_MIN_SAMPLES}, got {args.monte_carlo}"
         )
-        print("error: channel failed the CPTP check", file=sys.stderr)
+    parsed = _read_document(args.path)
+    if _validated(parsed, args.format) is None:
         return EXIT_CPTP
     if args.monte_carlo is not None:
         region = "surface" if args.surface else "ball"
@@ -248,17 +261,14 @@ def cmd_random(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    parsed = _read_document(args.path)
-    channel = parsed.kraus if parsed.kraus is not None else parsed.affine
-    report = validate_cptp(channel)
-    if not report.passed:
-        _print_doc(
-            {"input": parsed.doc, "affine": _affine_json(parsed.affine), "cptp": _cptp_json(report)},
-            args.format,
+    if args.samples < BRUTE_FORCE_MIN_SAMPLES:
+        raise DocumentError(
+            f"--samples must be at least {BRUTE_FORCE_MIN_SAMPLES}, got {args.samples}"
         )
-        print("error: channel failed the CPTP check", file=sys.stderr)
+    parsed = _read_document(args.path)
+    if _validated(parsed, args.format) is None:
         return EXIT_CPTP
-    result = quasi_inverse(parsed.affine)
+    result, _ = _solve(parsed.affine)
     verification = oracle.verify(
         parsed.affine,
         result,

@@ -119,7 +119,13 @@ def quasi_inverse(e: AffineChannel) -> QuasiInverseResult:
             "channel is not CPTP "
             f"(min Choi eigenvalue {report.min_choi_eigenvalue:.3e})"
         )
-    w, v = eig_sym4(build_q(e).q)
+    return _solve(e)[0]
+
+
+def _solve(e: AffineChannel) -> tuple[QuasiInverseResult, QForm]:
+    """quasi_inverse without the CPTP check, plus the form it maximized."""
+    qf = build_q(e)
+    w, v = eig_sym4(qf.q)
     lam = float(w[0])
     degenerate = bool(w[0] - w[1] < DEGENERACY_TOL)
     trivial = lam <= TRIVIAL_TOL
@@ -127,7 +133,7 @@ def quasi_inverse(e: AffineChannel) -> QuasiInverseResult:
     u = UnitaryParams.from_vector(x)
     before = mstd_analytic(e).value
     after = mstd_composed(unitary_to_affine(u), e).value
-    return QuasiInverseResult(
+    result = QuasiInverseResult(
         x=x,
         unitary=unitary_matrix(u),
         lambda_max=lam,
@@ -137,3 +143,4 @@ def quasi_inverse(e: AffineChannel) -> QuasiInverseResult:
         trivial=trivial,
         degenerate=degenerate,
     )
+    return result, qf

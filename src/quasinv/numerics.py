@@ -1,9 +1,10 @@
 """Small dense linear algebra and reproducible random sampling.
 
-Everything here is deterministic: the eigensolver is a cyclic Jacobi
-iteration with a fixed rotation order and sign convention, and the random
-number generator is counter-based (splitmix64), so a given seed produces
-the same sample sequence on every platform and NumPy version.
+Eigenpairs come from LAPACK (``np.linalg.eigh``/``eigvalsh``) with a fixed
+eigenvector sign convention and a stable descending order, so solver
+outputs are reproducible to rounding across BLAS builds. The random number
+generator is counter-based (splitmix64), so a given seed produces the same
+sample sequence, bit for bit, on every platform and NumPy version.
 """
 
 from __future__ import annotations
@@ -18,12 +19,9 @@ _STREAM_SALT = np.uint64(0xD1B54A32D192ED03)
 # applying the sign convention.
 SIGN_TOL = 1e-12
 
-_JACOBI_OFF_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 64
-
 
 class ConvergenceError(RuntimeError):
-    """Jacobi sweep limit reached; carries the remaining off-diagonal norm."""
+    """The eigensolver failed; carries the off-diagonal norm it left unreduced."""
 
     def __init__(self, residual: float):
         super().__init__(f"eigensolver did not converge, off-diagonal norm {residual:.3e}")
@@ -155,58 +153,21 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a small real symmetric matrix by cyclic Jacobi.
+def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a real symmetric matrix by LAPACK (``np.linalg.eigh``).
 
-    Sweeps rotate away off-diagonal entries in fixed (p, q) order until the
-    off-diagonal Frobenius norm drops below 1e-14 (relative to the matrix
-    scale), up to 64 sweeps. Returns (eigenvalues descending, eigenvector
-    columns) under the deterministic sign convention.
+    Returns (eigenvalues descending, eigenvector columns) under the sign
+    convention. The descending sort is stable, so equal eigenvalues keep
+    LAPACK's column order. A LAPACK failure raises ConvergenceError
+    carrying the off-diagonal norm of the input.
     """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    sweeps = 0
-    off = _offdiag_norm(a)
-    while off > _JACOBI_OFF_TOL * scale:
-        if sweeps == _JACOBI_MAX_SWEEPS:
-            raise ConvergenceError(off)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                colp = v[:, p].copy()
-                colq = v[:, q].copy()
-                v[:, p] = c * colp - s * colq
-                v[:, q] = s * colp + c * colq
-        off = _offdiag_norm(a)
-        sweeps += 1
-    w = np.diag(a).copy()
+    a = np.asarray(a, dtype=float)
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(float(np.linalg.norm(a - np.diag(np.diag(a))))) from exc
     order = np.argsort(-w, kind="stable")
     return w[order], _fix_signs(v[:, order])
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    return float(np.sqrt(2.0 * np.sum(np.tril(a, -1) ** 2)))
 
 
 def eig_sym4(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,22 +177,15 @@ def eig_sym4(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected a 4x4 matrix, got shape {q.shape}")
     if not np.all(np.isfinite(q)):
         raise ValueError("matrix has non-finite entries")
-    return jacobi_eigh(0.5 * (q + q.T))
+    return eigh_desc(0.5 * (q + q.T))
 
 
 def eig_herm4(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Eigenvalues (descending) of a Hermitian 4x4 matrix.
-
-    Uses the real embedding [[Re H, -Im H], [Im H, Re H]], whose spectrum
-    is that of H with every eigenvalue doubled, and returns each once.
-    """
+    """Eigenvalues (descending) of a Hermitian 4x4 matrix."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
     dev = float(np.max(np.abs(h - h.conj().T)))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    re, im = h.real, h.imag
-    b = np.block([[re, -im], [im, re]])
-    w, _ = jacobi_eigh(0.5 * (b + b.T))
-    return w[::2]
+    return np.linalg.eigvalsh(0.5 * (h + h.conj().T))[::-1]

@@ -22,6 +22,15 @@ from quasinv.channels import (
     validate_cptp,
 )
 from quasinv.numerics import RngStream, ball_samples, eig_herm4, sphere4_samples
+from quasinv.zoo import (
+    FAMILIES,
+    gad_spec,
+    make,
+    mixed_unitary_spec,
+    pauli_spec,
+    rotation_spec,
+    tetrahedron_spec,
+)
 
 AXIS_STATES = [
     np.array(v, dtype=float)
@@ -220,6 +229,66 @@ class TestChoi:
         w = eig_herm4(reference)
         expected = np.sort(2.0 * np.asarray(probs))[::-1]
         assert np.allclose(w, expected, atol=1e-12)
+
+
+ZOO_POINTS = [
+    pauli_spec(0.1, 0.6, 0.2, 0.1),
+    pauli_spec(0.25, 0.25, 0.25, 0.25),
+    gad_spec(-0.5, 0.2),
+    gad_spec(0.3, 1.0),
+    mixed_unitary_spec(0.3, 2.8),
+    mixed_unitary_spec(1.0 / 3.0, 0.4),
+    tetrahedron_spec(0.3, 0.1),
+    tetrahedron_spec(0.25, 0.25),
+    rotation_spec(1.2, [1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0]),
+    rotation_spec(np.pi, [0.0, 0.0, 1.0]),
+]
+
+
+def einsum_check_channels():
+    channels = [make(spec)[0] for spec in ZOO_POINTS]
+    rng = RngStream(4242)
+    channels += [random_channel(rng, 1 + i % 4) for i in range(200)]
+    return channels
+
+
+def affine_by_definition(k):
+    """m_ij = Tr(s_i E(s_j))/2 and c_i = Tr(s_i E(I))/2, from KrausChannel.evaluate."""
+    m = np.array(
+        [[0.5 * np.trace(PAULIS[i] @ k.evaluate(PAULIS[j])).real for j in range(3)] for i in range(3)]
+    )
+    c = np.array([0.5 * np.trace(s @ k.evaluate(IDENTITY2)).real for s in PAULIS])
+    return m, c
+
+
+def choi_by_definition(k):
+    """sum_ij |i><j| (x) E(|i><j|), from KrausChannel.evaluate."""
+    out = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            eij = np.zeros((2, 2), dtype=complex)
+            eij[i, j] = 1.0
+            out += np.kron(eij, k.evaluate(eij))
+    return out
+
+
+class TestEinsumMatchesDefinitions:
+    def test_points_cover_every_family(self):
+        assert {spec.family for spec in ZOO_POINTS} == set(FAMILIES)
+
+    def test_kraus_to_affine(self):
+        for k in einsum_check_channels():
+            m, c = affine_by_definition(k)
+            e = kraus_to_affine(k)
+            assert np.max(np.abs(e.m - m)) < 1e-14
+            assert np.max(np.abs(e.c - c)) < 1e-14
+
+    def test_choi(self):
+        # The affine form is trace preserving by construction, so its Choi
+        # matrix also differs from the Kraus one by the Kraus set's TP residual.
+        for k in einsum_check_channels():
+            gap = np.max(np.abs(choi(kraus_to_affine(k)) - choi_by_definition(k)))
+            assert gap < 1e-14 + k.tp_residual()
 
 
 class TestValidateCptp:

@@ -306,13 +306,55 @@ class TestNumericFailurePath:
         def broken(*args, **kwargs):
             raise ConvergenceError(0.5)
 
-        monkeypatch.setattr(cli, "quasi_inverse", broken)
+        monkeypatch.setattr(cli, "_solve", broken)
         path = write_doc(tmp_path, {"type": "pauli", "p": [0.1, 0.6, 0.2, 0.1]})
         code, out = run_cli(capsys, "analyze", path)
         assert code == 1
         doc = json.loads(out)
         jsonschema.validate(doc, ERROR_DOCUMENT_SCHEMA)
         assert doc["error"]["code"] == "numeric"
+
+    def test_lapack_failure_exits_1(self, capsys, tmp_path, monkeypatch):
+        def broken(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", broken)
+        path = write_doc(tmp_path, {"type": "pauli", "p": [0.1, 0.6, 0.2, 0.1]})
+        code, out = run_cli(capsys, "analyze", path)
+        assert code == 1
+        doc = json.loads(out)
+        jsonschema.validate(doc, ERROR_DOCUMENT_SCHEMA)
+        assert doc["error"]["code"] == "numeric"
+        assert "did not converge" in doc["error"]["message"]
+
+
+class TestSampleMinimums:
+    @pytest.mark.parametrize(
+        "argv", [("verify", "-", "--samples", "10"), ("mstd", "-", "--monte-carlo", "10")]
+    )
+    def test_too_few_samples_exit_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(
+            sys, "stdin", io.StringIO(json.dumps({"type": "pauli", "p": [0.1, 0.6, 0.2, 0.1]}))
+        )
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        doc = json.loads(out)
+        jsonschema.validate(doc, ERROR_DOCUMENT_SCHEMA)
+        assert doc["error"]["code"] == "parse"
+        assert argv[2] in doc["error"]["message"]
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError
+
+
+class TestBrokenPipe:
+    def test_error_document_into_closed_pipe(self, capsys, tmp_path, monkeypatch):
+        path = write_doc(tmp_path, {"type": "no_such_type"})
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert cli.main(["analyze", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSerialization:

@@ -7,7 +7,7 @@ from quasinv.numerics import (
     ball_samples,
     eig_herm4,
     eig_sym4,
-    jacobi_eigh,
+    eigh_desc,
     sample_ball,
     sample_sphere4,
     sphere4_samples,
@@ -102,15 +102,17 @@ class TestEigSym4:
 
 
 class TestJacobiGeneral:
+    """The general-n kernel eigh_desc behind eig_sym4."""
+
     def test_three_by_three(self):
         a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
-        w, v = jacobi_eigh(a)
+        w, v = eigh_desc(a)
         assert np.max(np.abs((v * w) @ v.T - a)) < 1e-12
 
     def test_scaled_matrix_converges(self):
         rng = RngStream(108)
         q = random_symmetric(rng, scale=1e6)
-        w, v = jacobi_eigh(q)
+        w, v = eigh_desc(q)
         assert np.max(np.abs((v * w) @ v.T - q)) < 1e-6  # 1e-12 relative
 
     def test_agrees_with_lapack(self):
@@ -118,18 +120,20 @@ class TestJacobiGeneral:
         for n in (3, 4, 8):
             for _ in range(20):
                 q = random_symmetric(rng, n=n)
-                w, _ = jacobi_eigh(q)
+                w, _ = eigh_desc(q)
                 reference = np.linalg.eigvalsh(q)[::-1]
                 assert np.max(np.abs(w - reference)) < 1e-12
 
-    def test_sweep_limit_raises_with_residual(self, monkeypatch):
-        import quasinv.numerics as numerics
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch):
+        def broken(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(numerics, "_JACOBI_MAX_SWEEPS", 0)
+        monkeypatch.setattr(np.linalg, "eigh", broken)
         q = random_symmetric(RngStream(111))
         with pytest.raises(ConvergenceError) as excinfo:
-            numerics.jacobi_eigh(q)
+            eig_sym4(q)
         assert excinfo.value.residual > 0.0
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestEigHerm4:
