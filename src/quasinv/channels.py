@@ -9,6 +9,7 @@ Choi matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,7 @@ def check_bloch(r, tol: float = BLOCH_TOL) -> np.ndarray:
     if not np.all(np.isfinite(r)):
         raise ValueError("Bloch vector has non-finite entries")
     norm = float(np.linalg.norm(r))
-    if norm > 1.0 + tol:
+    if not (norm <= 1.0 + tol):
         raise ValueError(f"Bloch vector leaves the unit ball: |r| = {norm}")
     return r
 
@@ -59,14 +60,16 @@ class KrausChannel:
                 raise ValueError(f"Kraus operators must be 2x2, got {op.shape}")
             if not np.all(np.isfinite(op)):
                 raise ValueError("Kraus operator has non-finite entries")
-        residual = _tp_residual(ops)
-        if residual > TP_TOL:
-            raise ValueError(f"Kraus set is not trace preserving: residual {residual:.3e}")
         self.operators = ops
+        residual = self.tp_residual()
+        if not (residual <= TP_TOL):
+            raise ValueError(f"Kraus set is not trace preserving: residual {residual:.3e}")
 
     def tp_residual(self) -> float:
         """Frobenius norm of sum_k E_k^dag E_k - I."""
-        return _tp_residual(self.operators)
+        ops = np.asarray(self.operators)
+        with np.errstate(all="ignore"):  # entries beyond ~1e154 overflow to inf or nan
+            return float(np.linalg.norm(np.einsum("kji,kjl->il", ops.conj(), ops) - IDENTITY2))
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Apply the channel to an arbitrary 2x2 matrix."""
@@ -75,13 +78,6 @@ class KrausChannel:
         for op in self.operators:
             out += op @ x @ op.conj().T
         return out
-
-
-def _tp_residual(ops) -> float:
-    acc = np.zeros((2, 2), dtype=complex)
-    for op in ops:
-        acc += op.conj().T @ op
-    return float(np.linalg.norm(acc - IDENTITY2))
 
 
 @dataclass
@@ -96,13 +92,17 @@ class AffineChannel:
         c = np.asarray(self.c, dtype=float)
         if m.shape != (3, 3) or c.shape != (3,):
             raise ValueError(f"need m (3,3) and c (3,), got {m.shape} and {c.shape}")
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
+        if not (np.isfinite(m).all() and np.isfinite(c).all()):
             raise ValueError("affine data has non-finite entries")
-        cnorm = float(np.linalg.norm(c))
-        if cnorm > 1.0 + BLOCH_TOL:
+        with np.errstate(all="ignore"):  # entries beyond ~1e154 overflow to inf or nan
+            cnorm = math.sqrt(c @ c)
+            gram = m.T @ m
+        if not (cnorm <= 1.0 + BLOCH_TOL):
             raise ValueError(f"translation vector outside the ball: |c| = {cnorm}")
-        smax = float(np.sqrt(max(np.linalg.eigvalsh(m.T @ m)[-1], 0.0)))
-        if smax > 1.0 + CPTP_TOL:
+        # the trace of m^T m is inf or nan once its entries overflow
+        top = np.linalg.eigvalsh(gram)[-1] if math.isfinite(gram.trace()) else math.inf
+        smax = math.sqrt(max(top, 0.0))
+        if not (smax <= 1.0 + CPTP_TOL):
             raise ValueError(f"largest singular value of m is {smax} > 1")
         self.m = m
         self.c = c
@@ -114,7 +114,7 @@ def identity_channel() -> AffineChannel:
 
 def kraus_to_affine(k: KrausChannel) -> AffineChannel:
     """Affine (m, c) of a Kraus channel: m_ij = Tr(s_i E(s_j))/2, c_i = Tr(s_i E(I))/2."""
-    if k.tp_residual() > TP_TOL:
+    if not (k.tp_residual() <= TP_TOL):
         raise ValueError("Kraus set is not trace preserving")
     ops = np.array(k.operators)
     t = 0.5 * np.einsum("aij,kjl,blm,kim->ab", _PAULI4[1:], ops, _PAULI4, ops.conj()).real
@@ -144,7 +144,7 @@ class UnitaryParams:
         if xvec.shape != (3,):
             raise ValueError(f"x must have shape (3,), got {xvec.shape}")
         norm2 = self.x0 * self.x0 + float(xvec @ xvec)
-        if abs(norm2 - 1.0) > UNIT_NORM_TOL:
+        if not (abs(norm2 - 1.0) <= UNIT_NORM_TOL):
             raise ValueError(f"(x0, x) is not unit length: |x|^2 = {norm2}")
         self.xvec = xvec
 
@@ -169,7 +169,7 @@ def unitary_matrix(u: UnitaryParams) -> np.ndarray:
 def unitary_to_affine(u: UnitaryParams) -> AffineChannel:
     """Rotation matrix of the conjugation rho -> V rho V^dag on Bloch vectors."""
     x0 = u.x0
-    x1, x2, x3 = u.xvec
+    x1, x2, x3 = u.xvec.tolist()
     m = np.array(
         [
             [
@@ -227,17 +227,16 @@ def validate_cptp(channel) -> CptpReport:
     eigenvalue being >= -1e-9.
     """
     if isinstance(channel, KrausChannel):
-        residual = channel.tp_residual()
-        affine = kraus_to_affine(channel)
-        tp_exact = False
-    elif isinstance(channel, AffineChannel):
-        residual = None
-        affine = channel
-        tp_exact = True
-    else:
-        raise TypeError(f"expected KrausChannel or AffineChannel, got {type(channel)!r}")
+        return _cptp_report(kraus_to_affine(channel), channel.tp_residual())
+    if isinstance(channel, AffineChannel):
+        return _cptp_report(channel, None)
+    raise TypeError(f"expected KrausChannel or AffineChannel, got {type(channel)!r}")
+
+
+def _cptp_report(affine: AffineChannel, residual: float | None) -> CptpReport:
+    """CPTP report of an affine form; residual is the Kraus set's, or None for affine input."""
     min_eig = float(eig_herm4(choi(affine))[-1])
-    return CptpReport(tp_exact=tp_exact, tp_residual=residual, min_choi_eigenvalue=min_eig)
+    return CptpReport(tp_exact=residual is None, tp_residual=residual, min_choi_eigenvalue=min_eig)
 
 
 def _inv_sqrt_2x2(h: np.ndarray) -> np.ndarray:

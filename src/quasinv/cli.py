@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import documents, oracle, zoo
-from .channels import CptpReport, random_channel, validate_cptp
+from .channels import CptpReport, _cptp_report, random_channel
 from .documents import (
     DocumentError,
     ParsedChannel,
@@ -137,7 +137,7 @@ def _cptp_json(report: CptpReport) -> dict:
 
 
 def _affine_json(e) -> dict:
-    return {"m": documents.real_matrix_to_json(e.m), "c": [float(x) for x in e.c]}
+    return {"m": e.m.tolist(), "c": e.c.tolist()}
 
 
 def _validated(parsed: ParsedChannel, fmt: str) -> dict | None:
@@ -146,8 +146,9 @@ def _validated(parsed: ParsedChannel, fmt: str) -> dict | None:
     For a channel that fails the check, prints that document, reports the
     failure on stderr and returns None.
     """
-    channel = parsed.kraus if parsed.kraus is not None else parsed.affine
-    report = validate_cptp(channel)
+    # parsed.affine is already the affine form of parsed.kraus: check it once
+    residual = None if parsed.kraus is None else parsed.kraus.tp_residual()
+    report = _cptp_report(parsed.affine, residual)
     doc = {"input": parsed.doc, "affine": _affine_json(parsed.affine), "cptp": _cptp_json(report)}
     if report.passed:
         return doc
@@ -168,7 +169,7 @@ def cmd_analyze(args) -> int:
             "q_matrix": documents.real_matrix_to_json(qf.q),
             "lambda_max": result.lambda_max,
             "quasi_inverse": {
-                "x": [float(v) for v in result.x],
+                "x": result.x.tolist(),
                 "matrix": documents.complex_matrix_to_json(result.unitary),
             },
             "delta_mstd": result.delta_mstd,

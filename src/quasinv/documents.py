@@ -7,8 +7,9 @@ with 17 significant digits so documents round-trip exactly.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -245,17 +246,22 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_float(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DocumentError(f"field {name!r} must be a number")
+    if not (_is_number(value) and math.isfinite(value)):
+        raise DocumentError(f"field {name!r} must be a finite number")
     return float(value)
 
 
-def _as_complex_matrix(raw, name: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (2, 2, 2):
-        raise DocumentError(f"{name} must be a 2x2 matrix of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+def _as_array(raw, shape: tuple, message: str) -> np.ndarray:
+    """Nested lists of JSON numbers (no strings, bools or nulls) as a float array."""
+    arr = np.array(raw, dtype=object)
+    if arr.shape != shape or not all(map(_is_number, arr.flat)):
+        raise DocumentError(message)
+    return arr.astype(float)
 
 
 def parse_channel_document(obj) -> ParsedChannel:
@@ -274,14 +280,15 @@ def parse_channel_document(obj) -> ParsedChannel:
             raw_ops = _require(obj, "operators")
             if not isinstance(raw_ops, list) or not raw_ops:
                 raise DocumentError("kraus document needs a nonempty operators list")
-            ops = [_as_complex_matrix(op, "kraus operator") for op in raw_ops]
+            message = "each kraus operator must be a 2x2 matrix of [re, im] number pairs"
+            arr = _as_array(raw_ops, (len(raw_ops), 2, 2, 2), message)
+            ops = list(arr[..., 0] + 1j * arr[..., 1])
             kraus = KrausChannel(ops)
             affine = kraus_to_affine(kraus)
         elif doc_type == "affine":
-            m = np.asarray(_require(obj, "m"), dtype=float)
-            c = np.asarray(_require(obj, "c"), dtype=float)
-            if m.shape != (3, 3) or c.shape != (3,):
-                raise DocumentError("affine document needs a 3x3 'm' and 3-vector 'c'")
+            message = "affine document needs a 3x3 'm' and 3-vector 'c' of numbers"
+            m = _as_array(_require(obj, "m"), (3, 3), message)
+            c = _as_array(_require(obj, "c"), (3,), message)
             kraus = None
             affine = AffineChannel(m, c)
         else:
@@ -290,7 +297,7 @@ def parse_channel_document(obj) -> ParsedChannel:
             affine = kraus_to_affine(kraus)
     except DocumentError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise DocumentError(str(exc)) from exc
     return ParsedChannel(label=label, doc=obj, affine=affine, kraus=kraus)
 
@@ -337,12 +344,11 @@ def _family_spec(doc_type: str, obj: dict) -> FamilySpec:
 # ---------------------------------------------------------------------------
 
 def complex_matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex).tolist()]
 
 
 def real_matrix_to_json(m: np.ndarray) -> list:
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+    return np.asarray(m, dtype=float).tolist()
 
 
 def kraus_document(k: KrausChannel, label: str = "") -> dict:
@@ -352,59 +358,39 @@ def kraus_document(k: KrausChannel, label: str = "") -> dict:
     return doc
 
 
-def _format_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite number {x}")
-    if x == 0.0:
-        return "0"  # avoid the "-0" artifact
-    return f"{x:.17g}"
-
-
 def dumps(obj, indent: int | None = None) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
-    pieces: list[str] = []
-    _render(obj, pieces, indent, 0)
-    return "".join(pieces)
+    return _render(obj, indent, 0)
 
 
-def _render(obj, out: list, indent: int | None, level: int) -> None:
-    nl, pad, pad_in = "", "", ""
-    if indent is not None:
-        nl = "\n"
-        pad = " " * (indent * level)
-        pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
+def _render(obj, indent: int | None, level: int) -> str:
+    kind = type(obj)  # exact types first: nearly every value is a float, list or dict
+    if kind is float:
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite number {obj}")
+        return f"{obj:.17g}" if obj else "0"  # "0" for -0.0 too
+    if kind is list or (kind is not dict and isinstance(obj, (list, tuple))):
         if not obj:
-            out.append("{}")
-            return
-        out.append("{" + nl)
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {type(key)!r}")
-            out.append(pad_in + json.dumps(key) + ": ")
-            _render(value, out, indent, level + 1)
-            if i + 1 < len(obj):
-                out.append("," + (nl if nl else " "))
-        out.append(nl + pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            out.append("[]")
-            return
-        out.append("[")
-        for i, value in enumerate(obj):
-            _render(value, out, indent, level + 1)
-            if i + 1 < len(obj):
-                out.append(", ")
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+            return "[]"
+        return "[" + ", ".join([_render(value, indent, level + 1) for value in obj]) + "]"
+    if kind is dict or isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys must be strings")
+        pad_in = pad = ""
+        if indent is not None:
+            pad_in, pad = "\n" + " " * (indent * (level + 1)), "\n" + " " * (indent * level)
+        items = [encode_basestring_ascii(k) + ": " + _render(v, indent, level + 1) for k, v in obj.items()]
+        return "{" + pad_in + ("," + (pad_in or " ")).join(items) + pad + "}"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _render(float(obj), indent, level)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -45,7 +45,7 @@ class QForm:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {q.shape}")
-        if not np.allclose(q, q.T, atol=1e-12, rtol=0.0):
+        if not (np.abs(q - q.T) <= 1e-12).all():
             raise ValueError("quadratic form must be symmetric")
         self.q = q
 

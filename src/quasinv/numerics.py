@@ -145,11 +145,10 @@ def sample_sphere4(rng: RngStream) -> np.ndarray:
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Flip each column so its first component with |v| > SIGN_TOL is positive."""
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.flatnonzero(np.abs(col) > SIGN_TOL)
-        if nz.size and col[nz[0]] < 0.0:
-            vecs[:, j] = -col
+    first = (np.abs(vecs) > SIGN_TOL).argmax(axis=0)
+    # a column with no such component has |lead| <= SIGN_TOL and stays as it is
+    lead = vecs[first, np.arange(vecs.shape[1])]
+    vecs[:, lead < -SIGN_TOL] *= -1.0
     return vecs
 
 
@@ -175,7 +174,7 @@ def eig_sym4(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = np.asarray(q, dtype=float)
     if q.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise ValueError("matrix has non-finite entries")
     return eigh_desc(0.5 * (q + q.T))
 
@@ -185,7 +184,7 @@ def eig_herm4(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
-    dev = float(np.max(np.abs(h - h.conj().T)))
-    if dev > tol:
+    dev = float(np.abs(h - h.conj().T).max())
+    if not (dev <= tol):
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return np.linalg.eigvalsh(0.5 * (h + h.conj().T))[::-1]

@@ -283,6 +283,12 @@ class TestEinsumMatchesDefinitions:
             assert np.max(np.abs(e.m - m)) < 1e-14
             assert np.max(np.abs(e.c - c)) < 1e-14
 
+    def test_tp_residual(self):
+        # the einsum sums in another order than the loop: allow a few ulps
+        for k in einsum_check_channels():
+            loop = np.linalg.norm(sum(op.conj().T @ op for op in k.operators) - IDENTITY2)
+            assert abs(k.tp_residual() - loop) <= 8 * np.finfo(float).eps
+
     def test_choi(self):
         # The affine form is trace preserving by construction, so its Choi
         # matrix also differs from the Kraus one by the Kraus set's TP residual.
@@ -361,3 +367,34 @@ class TestPhaseDistance:
 
     def test_detects_difference(self):
         assert phase_distance(IDENTITY2, SIGMA_X) > 1.0
+
+
+@pytest.mark.filterwarnings("error")
+class TestBoundsRejectNan:
+    """Overflowing or NaN inputs fail every bound, without a numeric warning."""
+
+    def test_overflowing_m_is_rejected(self):
+        with pytest.raises(ValueError, match="singular value"):
+            AffineChannel(np.diag([1e300, 1.0, 1.0]), np.zeros(3))
+
+    def test_m_with_cancelling_overflow_is_rejected(self):
+        # the Gram matrix gets inf - inf = nan off the diagonal
+        m = np.array([[1e200, 1e200, 0.0], [1e200, -1e200, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="singular value"):
+            AffineChannel(m, np.zeros(3))
+
+    def test_overflowing_c_is_rejected(self):
+        with pytest.raises(ValueError, match="translation"):
+            AffineChannel(0.5 * np.eye(3), np.array([1e200, 0.0, 0.0]))
+
+    def test_overflowing_kraus_set_is_rejected(self):
+        with pytest.raises(ValueError, match="trace preserving"):
+            KrausChannel([[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]])
+
+    def test_nan_unitary_params_rejected(self):
+        with pytest.raises(ValueError, match="unit length"):
+            UnitaryParams(np.nan, [0.0, 0.0, 0.0])
+
+    def test_nan_matrix_is_not_hermitian(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            eig_herm4(np.full((4, 4), np.nan))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import shutil
@@ -9,15 +10,18 @@ import numpy as np
 import pytest
 
 import quasinv.cli as cli
-from quasinv.channels import PAULIS, kraus_to_affine, phase_distance
+from quasinv.channels import PAULIS, kraus_to_affine, phase_distance, random_channel, validate_cptp
 from quasinv.documents import (
     CHANNEL_DOCUMENT_SCHEMA,
+    CHANNEL_TYPES,
     ERROR_DOCUMENT_SCHEMA,
     MSTD_DOCUMENT_SCHEMA,
     RESULT_DOCUMENT_SCHEMA,
     VERIFICATION_DOCUMENT_SCHEMA,
+    kraus_document,
     parse_channel_document,
 )
+from quasinv.numerics import RngStream
 from quasinv.oracle import VerificationReport
 
 
@@ -375,3 +379,145 @@ class TestSerialization:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["delta_mstd"] == pytest.approx(0.2, abs=1e-12)
+
+
+# sha256 of `quasinv random --count 50 --seed 7 --kraus k`: these bytes are
+# the RNG and serialization contract and must never change.
+RANDOM_SHA256 = {
+    1: "de3a77c15d7b4395e3e4e13b2b8e60e19c2327d42b6ff3c21f1fa7de4b1b296a",
+    2: "84f3707ecb9b3ca70370279af882b092802bbed589a61cc39c5ceede4c80e17b",
+    3: "46b86a73c80e6e5558ba40be16daeecd78fb3861347240c57beb4e5a86f3ff5d",
+    4: "5eea379d50de1299ce1b746edb87cd708a3ae9908e52b94110f2dc4010991f70",
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("k", sorted(RANDOM_SHA256))
+    def test_random_stream_bytes(self, capsys, k):
+        code, out = run_cli(capsys, "random", "--count", "50", "--seed", "7", "--kraus", str(k))
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == RANDOM_SHA256[k]
+
+
+def analyze_text(capsys, monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = cli.main(["analyze", "-"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_parse_error(code, out, err):
+    assert code == 2
+    doc = json.loads(out)
+    jsonschema.validate(doc, ERROR_DOCUMENT_SCHEMA)
+    assert doc["error"]["code"] == "parse"
+    assert "Warning" not in err and "Traceback" not in err
+
+
+class TestNonFiniteArithmetic:
+    def test_overflowing_affine_exits_2(self, capsys, monkeypatch):
+        text = json.dumps({"type": "affine", "m": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]], "c": [0, 0, 0]})
+        code, out, err = analyze_text(capsys, monkeypatch, text)
+        assert_parse_error(code, out, err)
+        assert "singular value" in json.loads(out)["error"]["message"]
+
+    def test_overflowing_kraus_exits_2(self, capsys, monkeypatch):
+        ops = [[[[1e200, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]]
+        code, out, err = analyze_text(capsys, monkeypatch, json.dumps({"type": "kraus", "operators": ops}))
+        assert_parse_error(code, out, err)
+        assert "trace preserving" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"type": "mixed_unitary", "p": 0.1, "theta": Infinity}',
+            '{"type": "gad", "gamma": NaN, "p": 0.1}',
+            '{"type": "unitary", "theta": 1, "axis": [NaN, 0, 1]}',
+        ],
+    )
+    def test_non_finite_family_parameter_exits_2(self, capsys, monkeypatch, text):
+        code, out, err = analyze_text(capsys, monkeypatch, text)
+        assert_parse_error(code, out, err)
+        assert "finite number" in json.loads(out)["error"]["message"]
+
+
+IDENTITY_OPERATOR = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+def _with_entry(value, where):
+    """An identity channel document with one matrix entry replaced."""
+    if where == "operator":
+        op = json.loads(json.dumps(IDENTITY_OPERATOR))
+        op[0][0][0] = value
+        return {"type": "kraus", "operators": [op]}
+    doc = {"type": "affine", "m": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "c": [0, 0, 0]}
+    if where == "m":
+        doc["m"][0][0] = value
+    else:
+        doc["c"][0] = value
+    return doc
+
+
+class TestNonNumberEntries:
+    @pytest.mark.parametrize("where", ["m", "c", "operator"])
+    @pytest.mark.parametrize("value", ["1", True, None, [1]])
+    def test_exits_2(self, capsys, monkeypatch, where, value):
+        code, out, err = analyze_text(capsys, monkeypatch, json.dumps(_with_entry(value, where)))
+        assert_parse_error(code, out, err)
+
+    @pytest.mark.parametrize("where", ["m", "c", "operator"])
+    def test_integers_still_accepted(self, capsys, monkeypatch, where):
+        value = 0 if where == "c" else 1
+        code, _, _ = analyze_text(capsys, monkeypatch, json.dumps(_with_entry(value, where)))
+        assert code == 0
+
+    @pytest.mark.parametrize("where", ["m", "operator"])
+    def test_huge_integer_exits_2(self, capsys, monkeypatch, where):
+        text = json.dumps(_with_entry(0, where)).replace("0", "1" + "0" * 400, 1)
+        code, out, err = analyze_text(capsys, monkeypatch, text)
+        assert_parse_error(code, out, err)
+
+    def test_huge_integer_family_parameter_exits_2(self, capsys, monkeypatch):
+        text = '{"type": "gad", "gamma": 1' + "0" * 400 + ', "p": 0.1}'
+        code, out, err = analyze_text(capsys, monkeypatch, text)
+        assert_parse_error(code, out, err)
+
+
+FAMILY_DOCUMENTS = [
+    {"type": "pauli", "p": [0.1, 0.6, 0.2, 0.1]},
+    {"type": "gad", "gamma": -0.5, "p": 0.2},
+    {"type": "mixed_unitary", "p": 0.3, "theta": 2.8},
+    {"type": "tetrahedron", "p": 0.25, "p_prime": 0.25},
+    {"type": "unitary", "theta": 1.2, "axis": [0, 0.6, 0.8]},
+]
+
+
+def _cptp_route_documents():
+    rng = RngStream(2718)
+    docs = FAMILY_DOCUMENTS + [kraus_document(random_channel(rng, 1 + i % 4)) for i in range(200)]
+    # the transpose map: positive but not completely positive
+    docs.append({"type": "affine", "m": [[1, 0, 0], [0, -1, 0], [0, 0, 1]], "c": [0, 0, 0]})
+    return docs
+
+
+class TestCptpRoute:
+    def test_documents_cover_every_family(self):
+        assert {doc["type"] for doc in FAMILY_DOCUMENTS} == set(CHANNEL_TYPES) - {"kraus", "affine"}
+
+    def test_cli_report_equals_validate_cptp(self, capsys, monkeypatch):
+        codes = set()
+        for doc in _cptp_route_documents():
+            code, out, _ = analyze_text(capsys, monkeypatch, json.dumps(doc))
+            codes.add(code)
+            parsed = parse_channel_document(doc)
+            report = validate_cptp(parsed.kraus or parsed.affine)
+            expected = {
+                "tp_exact": report.tp_exact,
+                "tp_residual": report.tp_residual,
+                "min_choi_eigenvalue": report.min_choi_eigenvalue,
+                "passed": report.passed,
+            }
+            cptp = json.loads(out)["cptp"]
+            assert cptp == expected
+            assert cptp["tp_exact"] is report.tp_exact and cptp["passed"] is report.passed
+        assert codes == {0, 3}

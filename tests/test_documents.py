@@ -83,3 +83,78 @@ class TestDumps:
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             dumps({"v": object()})
+
+
+# Every kind of value the renderer accepts, with the exact bytes it must
+# produce; any change here changes every document the CLI writes.
+GOLDEN_DOC = {
+    "neg_zero": -0.0,
+    "subnormal": 5e-324,
+    "tiny": 1e-300,
+    "big": 1e22,
+    "tenth": 0.1,
+    "np_float": np.float64(1 / 3),
+    "np_int": np.int64(-7),
+    "int": 12,
+    "flags": [True, False],
+    "none": None,
+    "empty_list": [],
+    "empty_dict": {},
+    "nested": [[1, -2.5], [[0.5], []]],
+    "tuple": (1, 2.0),
+    "records": [{"k": 1, "v": [0.25]}, {}],
+    "label": 'Bloch ψ café "q"\\',
+}
+
+GOLDEN_COMPACT = (
+    '{"neg_zero": 0, "subnormal": 4.9406564584124654e-324, "tiny": 1e-300, '
+    '"big": 1e+22, "tenth": 0.10000000000000001, "np_float": 0.33333333333333331, '
+    '"np_int": -7, "int": 12, "flags": [true, false], "none": null, '
+    '"empty_list": [], "empty_dict": {}, "nested": [[1, -2.5], [[0.5], []]], '
+    '"tuple": [1, 2], "records": [{"k": 1, "v": [0.25]}, {}], '
+    '"label": "Bloch \\u03c8 caf\\u00e9 \\"q\\"\\\\"}'
+)
+
+GOLDEN_INDENTED = """{
+  "neg_zero": 0,
+  "subnormal": 4.9406564584124654e-324,
+  "tiny": 1e-300,
+  "big": 1e+22,
+  "tenth": 0.10000000000000001,
+  "np_float": 0.33333333333333331,
+  "np_int": -7,
+  "int": 12,
+  "flags": [true, false],
+  "none": null,
+  "empty_list": [],
+  "empty_dict": {},
+  "nested": [[1, -2.5], [[0.5], []]],
+  "tuple": [1, 2],
+  "records": [{
+      "k": 1,
+      "v": [0.25]
+    }, {}],
+  "label": "Bloch \\u03c8 caf\\u00e9 \\"q\\"\\\\"
+}"""
+
+
+class TestGoldenBytes:
+    def test_compact(self):
+        assert dumps(GOLDEN_DOC) == GOLDEN_COMPACT
+
+    def test_indented(self):
+        assert dumps(GOLDEN_DOC, indent=2) == GOLDEN_INDENTED
+
+    def test_parses_back(self):
+        back = json.loads(GOLDEN_INDENTED)
+        assert back["subnormal"] == 5e-324 and back["tenth"] == 0.1
+        assert back["label"] == GOLDEN_DOC["label"]
+
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf"), np.float64("nan")])
+    def test_rejects_non_finite_anywhere(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps({"a": [[0.5, value]]}, indent=2)
+
+    def test_rejects_non_string_key(self):
+        with pytest.raises(TypeError, match="keys"):
+            dumps({1: 0.5})

@@ -4,6 +4,7 @@ import pytest
 from quasinv.numerics import (
     ConvergenceError,
     RngStream,
+    _fix_signs,
     ball_samples,
     eig_herm4,
     eig_sym4,
@@ -82,6 +83,30 @@ class TestEigSym4:
                 col = v[:, i]
                 first = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
                 assert first > 0
+
+    def test_fix_signs_matches_loop(self):
+        # leading components at or below 1e-12 are skipped; an all-tiny column stays
+        cases = [
+            np.array(
+                [
+                    [1e-13, 0.0, -0.6, 1e-12, -2e-12],
+                    [-0.8, 0.0, 0.8, -1e-13, 0.5],
+                    [0.6, 1e-13, 0.0, 0.0, 0.0],
+                ]
+            )
+        ]
+        rng = RngStream(108)
+        for _ in range(50):
+            cases.append(np.linalg.qr(random_symmetric(rng))[0])
+            cases[-1][0, rng.u64() % 4] = 1e-13
+        for vecs in cases:
+            expected = vecs.copy()
+            for j in range(vecs.shape[1]):
+                col = expected[:, j]
+                nz = np.flatnonzero(np.abs(col) > 1e-12)
+                if nz.size and col[nz[0]] < 0.0:
+                    expected[:, j] = -col
+            assert np.array_equal(_fix_signs(vecs.copy()), expected)
 
     def test_deterministic(self):
         q = random_symmetric(RngStream(107))
