@@ -47,9 +47,13 @@ def check_bloch(r, tol: float = BLOCH_TOL) -> np.ndarray:
 
 @dataclass
 class KrausChannel:
-    """A channel given by a nonempty trace-preserving set of 2x2 Kraus operators."""
+    """A channel given by a nonempty trace-preserving set of 2x2 Kraus operators.
+
+    ``residual`` is the TP residual of the operators as constructed.
+    """
 
     operators: list
+    residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = [np.asarray(op, dtype=complex) for op in self.operators]
@@ -61,9 +65,9 @@ class KrausChannel:
             if not np.all(np.isfinite(op)):
                 raise ValueError("Kraus operator has non-finite entries")
         self.operators = ops
-        residual = self.tp_residual()
-        if not (residual <= TP_TOL):
-            raise ValueError(f"Kraus set is not trace preserving: residual {residual:.3e}")
+        self.residual = self.tp_residual()
+        if not (self.residual <= TP_TOL):
+            raise ValueError(f"Kraus set is not trace preserving: residual {self.residual:.3e}")
 
     def tp_residual(self) -> float:
         """Frobenius norm of sum_k E_k^dag E_k - I."""
@@ -207,7 +211,7 @@ def choi(e: AffineChannel) -> np.ndarray:
 
 @dataclass
 class CptpReport:
-    """Physicality check: trace preservation plus Choi positivity."""
+    """Physicality check: TP residual <= 1e-10 and smallest Choi eigenvalue >= -1e-9."""
 
     tp_exact: bool
     tp_residual: float | None
@@ -215,7 +219,7 @@ class CptpReport:
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        tp_ok = self.tp_exact or self.tp_residual <= CPTP_TOL
+        tp_ok = self.tp_exact or self.tp_residual <= TP_TOL
         self.passed = bool(tp_ok and self.min_choi_eigenvalue >= -CPTP_TOL)
 
 

@@ -77,9 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_zoo = sub.add_parser("zoo", help="emit a named channel family as a kraus document")
     p_zoo.add_argument("family", choices=sorted(zoo.FAMILIES))
-    p_zoo.add_argument("params", type=float, nargs="+",
-                       help="pauli: p0 p1 p2 p3 | gad: gamma p | mixed_unitary: p theta | "
-                            "tetrahedron: p p_prime | rotation: theta nx ny nz")
+    usage = (f"{family.name}: {' '.join(family.arg_names)}" for family in zoo.FAMILY_TABLE)
+    p_zoo.add_argument("params", type=float, nargs="+", help=" | ".join(usage))
     p_zoo.add_argument("--label", default=None, help="override the document label")
     p_zoo.set_defaults(func=cmd_zoo)
 
@@ -147,7 +146,7 @@ def _validated(parsed: ParsedChannel, fmt: str) -> dict | None:
     failure on stderr and returns None.
     """
     # parsed.affine is already the affine form of parsed.kraus: check it once
-    residual = None if parsed.kraus is None else parsed.kraus.tp_residual()
+    residual = None if parsed.kraus is None else parsed.kraus.residual
     report = _cptp_report(parsed.affine, residual)
     doc = {"input": parsed.doc, "affine": _affine_json(parsed.affine), "cptp": _cptp_json(report)}
     if report.passed:
@@ -210,40 +209,15 @@ def cmd_mstd(args) -> int:
     return EXIT_OK
 
 
-_ZOO_ARITY = {
-    "pauli": 4,
-    "gad": 2,
-    "mixed_unitary": 2,
-    "tetrahedron": 2,
-    "rotation": 4,
-}
-
-
 def cmd_zoo(args) -> int:
-    family = args.family
-    params = args.params
-    if len(params) != _ZOO_ARITY[family]:
-        raise DocumentError(
-            f"family {family!r} takes {_ZOO_ARITY[family]} parameters, got {len(params)}"
-        )
-    if family == "pauli":
-        spec = zoo.pauli_spec(*params)
-    elif family == "gad":
-        spec = zoo.gad_spec(*params)
-    elif family == "mixed_unitary":
-        spec = zoo.mixed_unitary_spec(*params)
-    elif family == "tetrahedron":
-        spec = zoo.tetrahedron_spec(*params)
-    else:
-        spec = zoo.rotation_spec(params[0], params[1:])
     try:
-        kraus, _ = zoo.make(spec)
+        kraus, _ = zoo.make(zoo.spec_from_values(args.family, args.params))
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     label = args.label
     if label is None:
-        rendered = ", ".join(f"{p:g}" for p in params)
-        label = f"{family}({rendered})"
+        rendered = ", ".join(f"{p:g}" for p in args.params)
+        label = f"{args.family}({rendered})"
     print(dumps(kraus_document(kraus, label), indent=2))
     return EXIT_OK
 

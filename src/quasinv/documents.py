@@ -14,9 +14,10 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .channels import AffineChannel, KrausChannel, kraus_to_affine
-from .zoo import FamilySpec, make
+from .zoo import FAMILY_TABLE, Family, FamilySpec, make
 
-CHANNEL_TYPES = ("kraus", "affine", "pauli", "gad", "mixed_unitary", "tetrahedron", "unitary")
+_FAMILY_BY_TYPE = {family.doc_type: family for family in FAMILY_TABLE}
+CHANNEL_TYPES = ("kraus", "affine", *_FAMILY_BY_TYPE)
 
 
 class DocumentError(ValueError):
@@ -49,14 +50,27 @@ _CMATRIX2 = {
     "maxItems": 2,
     "items": {"type": "array", "minItems": 2, "maxItems": 2, "items": _COMPLEX},
 }
-_RVECTOR3 = {"type": "array", "minItems": 3, "maxItems": 3, "items": {"type": "number"}}
+
+
+def _rvector(n: int) -> dict:
+    return {"type": "array", "minItems": n, "maxItems": n, "items": {"type": "number"}}
+
+
+_RVECTOR3 = _rvector(3)
 _RMATRIX3 = {"type": "array", "minItems": 3, "maxItems": 3, "items": _RVECTOR3}
-_RMATRIX4 = {
-    "type": "array",
-    "minItems": 4,
-    "maxItems": 4,
-    "items": {"type": "array", "minItems": 4, "maxItems": 4, "items": {"type": "number"}},
-}
+_RMATRIX4 = {"type": "array", "minItems": 4, "maxItems": 4, "items": _rvector(4)}
+
+
+def _family_branch(family: Family) -> dict:
+    fields = {
+        name: _rvector(len(components)) if components else {"type": "number"}
+        for name, components in family.params.items()
+    }
+    return {
+        "properties": {"type": {"const": family.doc_type}, **fields},
+        "required": ["type", *family.params],
+    }
+
 
 CHANNEL_DOCUMENT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -76,45 +90,7 @@ CHANNEL_DOCUMENT_SCHEMA = {
             "properties": {"type": {"const": "affine"}, "m": _RMATRIX3, "c": _RVECTOR3},
             "required": ["type", "m", "c"],
         },
-        {
-            "properties": {
-                "type": {"const": "pauli"},
-                "p": {"type": "array", "minItems": 4, "maxItems": 4, "items": {"type": "number"}},
-            },
-            "required": ["type", "p"],
-        },
-        {
-            "properties": {
-                "type": {"const": "gad"},
-                "gamma": {"type": "number"},
-                "p": {"type": "number"},
-            },
-            "required": ["type", "gamma", "p"],
-        },
-        {
-            "properties": {
-                "type": {"const": "mixed_unitary"},
-                "p": {"type": "number"},
-                "theta": {"type": "number"},
-            },
-            "required": ["type", "p", "theta"],
-        },
-        {
-            "properties": {
-                "type": {"const": "tetrahedron"},
-                "p": {"type": "number"},
-                "p_prime": {"type": "number"},
-            },
-            "required": ["type", "p", "p_prime"],
-        },
-        {
-            "properties": {
-                "type": {"const": "unitary"},
-                "theta": {"type": "number"},
-                "axis": _RVECTOR3,
-            },
-            "required": ["type", "theta", "axis"],
-        },
+        *map(_family_branch, FAMILY_TABLE),
     ],
 }
 
@@ -251,8 +227,8 @@ def _is_number(value) -> bool:
 
 
 def _as_float(value, name: str) -> float:
-    if not (_is_number(value) and math.isfinite(value)):
-        raise DocumentError(f"field {name!r} must be a finite number")
+    if not _is_number(value):
+        raise DocumentError(f"field {name!r} must be a number")
     return float(value)
 
 
@@ -292,8 +268,7 @@ def parse_channel_document(obj) -> ParsedChannel:
             kraus = None
             affine = AffineChannel(m, c)
         else:
-            spec = _family_spec(doc_type, obj)
-            kraus, _ = make(spec)
+            kraus, _ = make(_parse_family(_FAMILY_BY_TYPE[doc_type], obj))
             affine = kraus_to_affine(kraus)
     except DocumentError:
         raise
@@ -302,41 +277,18 @@ def parse_channel_document(obj) -> ParsedChannel:
     return ParsedChannel(label=label, doc=obj, affine=affine, kraus=kraus)
 
 
-def _family_spec(doc_type: str, obj: dict) -> FamilySpec:
-    if doc_type == "pauli":
-        p = _require(obj, "p")
-        if not isinstance(p, list) or len(p) != 4:
-            raise DocumentError("pauli document needs p = [p0, p1, p2, p3]")
-        return FamilySpec("pauli", {"p": [_as_float(x, "p") for x in p]})
-    if doc_type == "gad":
-        return FamilySpec(
-            "gad",
-            {"gamma": _as_float(_require(obj, "gamma"), "gamma"), "p": _as_float(_require(obj, "p"), "p")},
-        )
-    if doc_type == "mixed_unitary":
-        return FamilySpec(
-            "mixed_unitary",
-            {"p": _as_float(_require(obj, "p"), "p"), "theta": _as_float(_require(obj, "theta"), "theta")},
-        )
-    if doc_type == "tetrahedron":
-        return FamilySpec(
-            "tetrahedron",
-            {
-                "p": _as_float(_require(obj, "p"), "p"),
-                "p_prime": _as_float(_require(obj, "p_prime"), "p_prime"),
-            },
-        )
-    # unitary document = rotation family
-    axis = _require(obj, "axis")
-    if not isinstance(axis, list) or len(axis) != 3:
-        raise DocumentError("unitary document needs axis = [nx, ny, nz]")
-    return FamilySpec(
-        "rotation",
-        {
-            "theta": _as_float(_require(obj, "theta"), "theta"),
-            "axis": [_as_float(x, "axis") for x in axis],
-        },
-    )
+def _parse_family(family: Family, obj: dict) -> FamilySpec:
+    """Family parameters of a document; make() checks that they are finite."""
+    params = {}
+    for name, components in family.params.items():
+        value = _require(obj, name)
+        if not components:
+            params[name] = _as_float(value, name)
+        elif isinstance(value, list) and len(value) == len(components):
+            params[name] = [_as_float(x, name) for x in value]
+        else:
+            raise DocumentError(f"{family.doc_type} document needs {name} = [{', '.join(components)}]")
+    return FamilySpec(family.name, params)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,12 @@ same measures.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import AffineChannel, check_bloch, compose
-from .numerics import RngStream, ball_samples, sphere_samples, substream
+from .numerics import RngStream, ball_samples, map_batches, sphere_samples
 
 MC_MIN_SAMPLES = 1000
 _MC_BATCH = 32768
@@ -98,26 +97,15 @@ def mstd_monte_carlo(
     else:
         raise ValueError(f"region must be 'ball' or 'surface', got {region!r}")
 
-    base = rng.u64()
-    sizes = [_MC_BATCH] * (n // _MC_BATCH)
-    if n % _MC_BATCH:
-        sizes.append(n % _MC_BATCH)
-
-    def run_batch(k: int) -> tuple[float, float]:
-        pts = sampler(substream(base, k), sizes[k])
+    def run_batch(stream: RngStream, size: int) -> tuple[float, float]:
+        pts = sampler(stream, size)
         diff = pts - (pts @ e.m.T + e.c)
         d2 = 0.25 * np.einsum("ij,ij->i", diff, diff)
         return float(d2.sum()), float((d2 * d2).sum())
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_batch, range(len(sizes))))
-    else:
-        parts = [run_batch(k) for k in range(len(sizes))]
-
     total = 0.0
     total_sq = 0.0
-    for s1, s2 in parts:
+    for s1, s2 in map_batches(rng, n, _MC_BATCH, run_batch, workers):
         total += s1
         total_sq += s2
     mean = total / n

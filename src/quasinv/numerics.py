@@ -5,9 +5,18 @@ eigenvector sign convention and a stable descending order, so solver
 outputs are reproducible to rounding across BLAS builds. The random number
 generator is counter-based (splitmix64), so a given seed produces the same
 sample sequence, bit for bit, on every platform and NumPy version.
+
+One Box-Muller core (``_normals``) turns uniforms into normals for
+``RngStream.normals`` and the three samplers; each sampler keeps its own
+number of uniforms per point (ball 5, sphere 4, 3-sphere 4). One batch
+helper (``map_batches``) cuts a sampled computation into fixed-size
+batches on substreams of one base word and runs them serially or on a
+thread pool, with the same results either way.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -74,9 +83,7 @@ class RngStream:
     def normals(self, n: int) -> np.ndarray:
         """n standard normals (Box-Muller; odd n drops the last sine)."""
         m = (n + 1) // 2
-        u = self.uniforms(2 * m)
-        out = _box_muller_pairs(u.reshape(m, 2)).reshape(2 * m)
-        return out[:n]
+        return _normals(self.uniforms(2 * m).reshape(m, 2)).reshape(2 * m)[:n]
 
     def split(self, n: int) -> list["RngStream"]:
         """n independent substreams; advances this stream by one word."""
@@ -91,11 +98,15 @@ def substream(base: int, index: int) -> RngStream:
         return RngStream(int(_mix64(z)))
 
 
-def _box_muller_pairs(u: np.ndarray) -> np.ndarray:
-    """Map uniform pairs (k, 2) to standard-normal pairs (k, 2)."""
-    r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-    t = (2.0 * np.pi) * u[:, 1]
-    return np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+def _normals(u: np.ndarray) -> np.ndarray:
+    """Box-Muller: uniforms (n, 2k) to standard normals (n, 2k), column pair by pair."""
+    out = np.empty(u.shape)
+    for j in range(0, u.shape[1], 2):
+        r = np.sqrt(-2.0 * np.log1p(-u[:, j]))
+        t = (2.0 * np.pi) * u[:, j + 1]
+        out[:, j] = r * np.cos(t)
+        out[:, j + 1] = r * np.sin(t)
+    return out
 
 
 def ball_samples(rng: RngStream, n: int) -> np.ndarray:
@@ -105,32 +116,41 @@ def ball_samples(rng: RngStream, n: int) -> np.ndarray:
     normal is dropped) giving the direction, 1 for the radius u**(1/3).
     """
     u = rng.uniforms(5 * n).reshape(n, 5)
-    g = np.empty((n, 4))
-    g[:, 0:2] = _box_muller_pairs(u[:, 0:2])
-    g[:, 2:4] = _box_muller_pairs(u[:, 2:4])
-    d = g[:, :3]
-    norm = np.linalg.norm(d, axis=1)
-    radius = np.cbrt(u[:, 4])
-    return d * (radius / norm)[:, None]
+    d = _normals(u[:, :4])[:, :3]
+    return d * (np.cbrt(u[:, 4]) / np.linalg.norm(d, axis=1))[:, None]
 
 
 def sphere_samples(rng: RngStream, n: int) -> np.ndarray:
     """n points uniform on the unit 2-sphere, shape (n, 3); 4 uniforms each."""
-    u = rng.uniforms(4 * n).reshape(n, 4)
-    g = np.empty((n, 4))
-    g[:, 0:2] = _box_muller_pairs(u[:, 0:2])
-    g[:, 2:4] = _box_muller_pairs(u[:, 2:4])
-    d = g[:, :3]
+    d = _normals(rng.uniforms(4 * n).reshape(n, 4))[:, :3]
     return d / np.linalg.norm(d, axis=1)[:, None]
 
 
 def sphere4_samples(rng: RngStream, n: int) -> np.ndarray:
     """n points uniform on the unit 3-sphere in R^4, shape (n, 4)."""
-    u = rng.uniforms(4 * n).reshape(n, 4)
-    g = np.empty((n, 4))
-    g[:, 0:2] = _box_muller_pairs(u[:, 0:2])
-    g[:, 2:4] = _box_muller_pairs(u[:, 2:4])
+    g = _normals(rng.uniforms(4 * n).reshape(n, 4))
     return g / np.linalg.norm(g, axis=1)[:, None]
+
+
+def map_batches(rng: RngStream, n: int, batch: int, fn, workers: int = 1) -> list:
+    """[fn(stream_k, size_k)] over n items cut into batches of ``batch`` (the last one shorter).
+
+    Batch k draws from ``substream(base, k)``, where base is one word of
+    ``rng``, so the results depend on (rng, n, batch) and not on the number
+    of worker threads.
+    """
+    base = rng.u64()
+    sizes = [batch] * (n // batch)
+    if n % batch:
+        sizes.append(n % batch)
+
+    def run(k: int):
+        return fn(substream(base, k), sizes[k])
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, range(len(sizes))))
+    return [run(k) for k in range(len(sizes))]
 
 
 def sample_ball(rng: RngStream) -> np.ndarray:

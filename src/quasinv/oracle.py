@@ -8,7 +8,6 @@ construction or the eigensolver, so agreement is meaningful evidence.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .channels import AffineChannel
 from .inverter import QuasiInverseResult
 from .metrics import mstd_analytic
-from .numerics import RngStream, sphere4_samples, substream
+from .numerics import RngStream, map_batches, sphere4_samples
 
 BRUTE_FORCE_MIN_SAMPLES = 10_000
 _BATCH = 65536
@@ -87,24 +86,13 @@ def brute_force_best(
     best_x = _CANONICAL[k_best].copy()
     best_delta = float(deltas[k_best])
 
-    base = rng.u64()
-    sizes = [_BATCH] * (n // _BATCH)
-    if n % _BATCH:
-        sizes.append(n % _BATCH)
-
-    def run_batch(k: int) -> tuple[float, np.ndarray]:
-        xs = sphere4_samples(substream(base, k), sizes[k])
+    def run_batch(stream: RngStream, size: int) -> tuple[float, np.ndarray]:
+        xs = sphere4_samples(stream, size)
         d = _delta_batch(e, xs, base_value)
         j = int(np.argmax(d))
         return float(d[j]), xs[j]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_batch, range(len(sizes))))
-    else:
-        results = [run_batch(k) for k in range(len(sizes))]
-
-    for d, x in results:
+    for d, x in map_batches(rng, n, _BATCH, run_batch, workers):
         if d > best_delta:
             best_delta = d
             best_x = x

@@ -9,17 +9,20 @@ known optimum for golden testing:
 - tetrahedron:    q rho + sum_i p_i (v_i.s) rho (v_i.s), v_i tetrahedron corners,
                   with weights (p', p, p, p')
 - rotation:       conjugation by exp(-i t n.s / 2)
+
+FAMILY_TABLE, at the end of the module, is the one place a family's
+parameters are defined; the document parser, the channel schema and the
+zoo command line are derived from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .channels import IDENTITY2, PAULIS, KrausChannel, UnitaryParams, unitary_matrix
-
-FAMILIES = ("pauli", "gad", "mixed_unitary", "tetrahedron", "rotation")
 
 _PARAM_TOL = 1e-9
 
@@ -80,9 +83,29 @@ def rotation_spec(theta: float, axis) -> FamilySpec:
 
 
 def make(spec: FamilySpec) -> tuple[KrausChannel, GoldenExpectation]:
-    """Kraus realization and golden expectation of a family point."""
-    builder = _BUILDERS[spec.family]
-    return builder(spec.parameters)
+    """Kraus realization and golden expectation of a family point.
+
+    Every parameter must be finite; this is checked before the builder runs.
+    """
+    family = _BY_NAME[spec.family]
+    for name in family.params:
+        if not np.isfinite(np.asarray(spec.parameters[name], dtype=float)).all():
+            raise ValueError(f"parameter {name!r} must be a finite number")
+    return family.build(spec.parameters)
+
+
+def spec_from_values(name: str, values) -> FamilySpec:
+    """FamilySpec from a flat list of numbers in the family's argument order."""
+    family = _BY_NAME[name]
+    arity = len(family.arg_names)
+    if len(values) != arity:
+        raise ValueError(f"family {name!r} takes {arity} parameters, got {len(values)}")
+    rest = iter(values)
+    params = {
+        param: [next(rest) for _ in components] if components else next(rest)
+        for param, components in family.params.items()
+    }
+    return FamilySpec(name, params)
 
 
 def _diag_q(entries) -> np.ndarray:
@@ -269,10 +292,32 @@ def _make_rotation(params: dict) -> tuple[KrausChannel, GoldenExpectation]:
     return channel, expectation
 
 
-_BUILDERS = {
-    "pauli": _make_pauli,
-    "gad": _make_gad,
-    "mixed_unitary": _make_mixed_unitary,
-    "tetrahedron": _make_tetrahedron,
-    "rotation": _make_rotation,
-}
+@dataclass(frozen=True)
+class Family:
+    """One row of the family table.
+
+    ``params`` maps each parameter, in order, to the names of its
+    components; a scalar parameter has none. Channel documents spell the
+    family as ``doc_type``.
+    """
+
+    name: str
+    doc_type: str
+    params: dict
+    build: Callable[[dict], tuple[KrausChannel, GoldenExpectation]]
+
+    @property
+    def arg_names(self) -> list:
+        """One name per number, as ``quasinv zoo`` takes them."""
+        return [c for name, components in self.params.items() for c in components or (name,)]
+
+
+FAMILY_TABLE = (
+    Family("pauli", "pauli", {"p": ("p0", "p1", "p2", "p3")}, _make_pauli),
+    Family("gad", "gad", {"gamma": (), "p": ()}, _make_gad),
+    Family("mixed_unitary", "mixed_unitary", {"p": (), "theta": ()}, _make_mixed_unitary),
+    Family("tetrahedron", "tetrahedron", {"p": (), "p_prime": ()}, _make_tetrahedron),
+    Family("rotation", "unitary", {"theta": (), "axis": ("nx", "ny", "nz")}, _make_rotation),
+)
+FAMILIES = tuple(family.name for family in FAMILY_TABLE)
+_BY_NAME = {family.name: family for family in FAMILY_TABLE}

@@ -7,6 +7,7 @@ from quasinv.channels import (
     SIGMA_X,
     SIGMA_Z,
     AffineChannel,
+    CptpReport,
     KrausChannel,
     UnitaryParams,
     apply,
@@ -398,3 +399,9 @@ class TestBoundsRejectNan:
     def test_nan_matrix_is_not_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             eig_herm4(np.full((4, 4), np.nan))
+
+
+class TestTpTolerance:
+    def test_report_uses_the_kraus_tolerance(self):
+        assert CptpReport(False, 5e-10, 0.0).passed is False
+        assert CptpReport(False, 1e-10, 0.0).passed is True

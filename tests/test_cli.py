@@ -1,16 +1,26 @@
 import hashlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import quasinv
 import quasinv.cli as cli
-from quasinv.channels import PAULIS, kraus_to_affine, phase_distance, random_channel, validate_cptp
+from quasinv.channels import (
+    PAULIS,
+    KrausChannel,
+    kraus_to_affine,
+    phase_distance,
+    random_channel,
+    validate_cptp,
+)
 from quasinv.documents import (
     CHANNEL_DOCUMENT_SCHEMA,
     CHANNEL_TYPES,
@@ -521,3 +531,53 @@ class TestCptpRoute:
             assert cptp == expected
             assert cptp["tp_exact"] is report.tp_exact and cptp["passed"] is report.passed
         assert codes == {0, 3}
+
+
+class TestZooNonFinite:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["mixed_unitary", "0.1", "inf"],
+            ["rotation", "inf", "0", "0", "1"],
+            ["pauli", "nan", "0.5", "0.25", "0.25"],
+            ["tetrahedron", "nan", "0.1"],
+            ["gad", "--", "-inf", "0.2"],
+        ],
+    )
+    def test_exits_2_without_warnings(self, params):
+        # a fresh interpreter with default warning filters, so any warning reaches stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(quasinv.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quasinv.cli", "zoo", *params],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        doc = json.loads(proc.stdout)
+        jsonschema.validate(doc, ERROR_DOCUMENT_SCHEMA)
+        assert "finite number" in doc["error"]["message"]
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+class TestTpResidualCount:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            kraus_document(random_channel(RngStream(3), 3)),
+            {"type": "gad", "gamma": -0.5, "p": 0.2},
+        ],
+    )
+    def test_analyze_computes_it_twice(self, capsys, monkeypatch, doc):
+        # once when the Kraus set is built, once in the kraus_to_affine guard
+        calls = []
+        original = KrausChannel.tp_residual
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(KrausChannel, "tp_residual", counting)
+        code, out, _ = analyze_text(capsys, monkeypatch, json.dumps(doc))
+        assert code == 0
+        assert len(calls) == 2
+        parsed = parse_channel_document(doc)
+        assert json.loads(out)["cptp"]["tp_residual"] == original(parsed.kraus)

@@ -13,6 +13,7 @@ from quasinv.inverter import delta_mstd_direct, quasi_inverse
 from quasinv.numerics import RngStream
 from quasinv.oracle import brute_force_best
 from quasinv.zoo import (
+    FAMILY_TABLE,
     FamilySpec,
     GoldenExpectation,
     gad_spec,
@@ -20,6 +21,7 @@ from quasinv.zoo import (
     mixed_unitary_spec,
     pauli_spec,
     rotation_spec,
+    spec_from_values,
     tetrahedron_spec,
 )
 
@@ -252,3 +254,35 @@ class TestFamilyPlumbing:
         assert abs((before.value - after.value) - gold.expected_delta) <= 4 * (
             before.stderr + after.stderr
         )
+
+
+VALID_VALUES = {
+    "pauli": [0.4, 0.3, 0.2, 0.1],
+    "gad": [-0.7, 0.25],
+    "mixed_unitary": [0.3, 2.0],
+    "tetrahedron": [0.2, 0.15],
+    "rotation": [1.1, 0.0, 0.6, 0.8],
+}
+
+
+def _non_finite_slots():
+    for family in FAMILY_TABLE:
+        owners = [name for name, components in family.params.items() for _ in components or (name,)]
+        for slot, owner in enumerate(owners):
+            for bad in (np.nan, np.inf, -np.inf):
+                yield family.name, slot, owner, bad
+
+
+class TestFiniteParameters:
+    def test_valid_values_cover_every_family(self):
+        assert list(VALID_VALUES) == [family.name for family in FAMILY_TABLE]
+        for family in FAMILY_TABLE:
+            make(spec_from_values(family.name, VALID_VALUES[family.name]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family,slot,owner,bad", list(_non_finite_slots()))
+    def test_rejected_before_the_builder_runs(self, family, slot, owner, bad):
+        values = list(VALID_VALUES[family])
+        values[slot] = bad
+        with pytest.raises(ValueError, match=f"parameter '{owner}' must be a finite number"):
+            make(spec_from_values(family, values))
