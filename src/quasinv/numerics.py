@@ -7,11 +7,17 @@ generator is counter-based (splitmix64), so a given seed produces the same
 sample sequence, bit for bit, on every platform and NumPy version.
 
 One Box-Muller core (``_normals``) turns uniforms into normals for
-``RngStream.normals`` and the three samplers; each sampler keeps its own
-number of uniforms per point (ball 5, sphere 4, 3-sphere 4). One batch
-helper (``map_batches``) cuts a sampled computation into fixed-size
-batches on substreams of one base word and runs them serially or on a
-thread pool, with the same results either way.
+``RngStream.normals`` and the three samplers, and computes only the
+normals its caller returns. Uniforms per point: ball 5 (two Box-Muller
+pairs for the direction, one uniform for the radius), sphere 4 and
+3-sphere 4 (two pairs). The ball and the sphere keep three normals, so the
+sine of their second pair is never computed. The RNG and the samplers work
+in place on as few arrays as they can, with the same floating-point
+operations on the same arguments as the plain formulas, so their outputs
+are bit-identical to those formulas. One batch helper (``map_batches``)
+cuts a sampled computation into fixed-size batches on substreams of one
+base word and runs them serially or on a thread pool, with the same
+results either way.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ import numpy as np
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _STREAM_SALT = np.uint64(0xD1B54A32D192ED03)
+_SHIFT_1, _SHIFT_2, _SHIFT_3 = np.uint64(30), np.uint64(27), np.uint64(31)
+_MULT_1, _MULT_2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_UNIFORM_SHIFT = np.uint64(11)  # keeps the top 53 bits of a word
 
 # Eigenvector components below this magnitude are treated as zero when
 # applying the sign convention.
@@ -37,11 +46,25 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _mix64(z):
-    """splitmix64 output function: avalanche a 64-bit counter word."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _splitmix(seed: int, start: int, n: int, gamma: np.uint64) -> np.ndarray:
+    """Words j = start+1 .. start+n of ``mix64(seed + j*gamma)`` (mod 2**64), a new uint64 array.
+
+    mix64 is the splitmix64 finalizer. Every step runs in place on one
+    array with one scratch buffer.
+    """
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z *= gamma
+        z += np.uint64(seed)
+        t = z >> _SHIFT_1
+        z ^= t
+        z *= _MULT_1
+        np.right_shift(z, _SHIFT_2, out=t)
+        z ^= t
+        z *= _MULT_2
+        np.right_shift(z, _SHIFT_3, out=t)
+        z ^= t
+    return z
 
 
 class RngStream:
@@ -63,9 +86,9 @@ class RngStream:
         return f"RngStream(seed={self.seed}, counter={self._counter})"
 
     def _words(self, n: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
-            out = _mix64(np.uint64(self.seed) + idx * _GAMMA)
+        if n < 0:
+            raise ValueError(f"cannot draw a negative number of words, got {n}")
+        out = _splitmix(self.seed, self._counter, n, _GAMMA)
         self._counter += n
         return out
 
@@ -75,7 +98,11 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform doubles in [0, 1)."""
-        return (self._words(n) >> np.uint64(11)) * 2.0**-53
+        w = self._words(n)
+        w >>= _UNIFORM_SHIFT
+        u = w.astype(np.float64)  # exact: w < 2**53
+        u *= 2.0**-53
+        return u
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
@@ -83,7 +110,7 @@ class RngStream:
     def normals(self, n: int) -> np.ndarray:
         """n standard normals (Box-Muller; odd n drops the last sine)."""
         m = (n + 1) // 2
-        return _normals(self.uniforms(2 * m).reshape(m, 2)).reshape(2 * m)[:n]
+        return _normals(self.uniforms(2 * m).reshape(m, 2), 2).T.reshape(2 * m)[:n]
 
     def split(self, n: int) -> list["RngStream"]:
         """n independent substreams; advances this stream by one word."""
@@ -93,43 +120,74 @@ class RngStream:
 
 def substream(base: int, index: int) -> RngStream:
     """Stream ``index`` derived from a base word: seed = mix64(base + (index+1)*SALT)."""
-    with np.errstate(over="ignore"):
-        z = np.uint64(base) + np.uint64((index + 1) & _MASK64) * _STREAM_SALT
-        return RngStream(int(_mix64(z)))
+    return RngStream(int(_splitmix(base, index, 1, _STREAM_SALT)[0]))
 
 
-def _normals(u: np.ndarray) -> np.ndarray:
-    """Box-Muller: uniforms (n, 2k) to standard normals (n, 2k), column pair by pair."""
-    out = np.empty(u.shape)
-    for j in range(0, u.shape[1], 2):
-        r = np.sqrt(-2.0 * np.log1p(-u[:, j]))
-        t = (2.0 * np.pi) * u[:, j + 1]
-        out[:, j] = r * np.cos(t)
-        out[:, j + 1] = r * np.sin(t)
+def _normals(u: np.ndarray, k: int) -> np.ndarray:
+    """Box-Muller: uniforms (n, >= 2*ceil(k/2)) to k standard normals per row, shape (k, n).
+
+    Columns 2j and 2j+1 of ``u`` form pair j: radius r = sqrt(-2 log(1 - u_2j)),
+    angle t = 2 pi u_2j+1, normals 2j = r cos t and 2j+1 = r sin t. For odd k
+    the sine of the last pair is not computed. Each normal is one contiguous
+    row, so every transcendental call reads and writes contiguous memory.
+    """
+    g = np.empty((k, u.shape[0]))
+    for j in range(0, k, 2):
+        r = -u[:, j]
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        t = u[:, j + 1] * (2.0 * np.pi)
+        c = np.cos(t, out=g[j])
+        c *= r
+        if j + 1 < k:
+            s = np.sin(t, out=g[j + 1])
+            s *= r
+    return g
+
+
+def _norms(g: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of g (k, n), summed left to right like ``add.reduce``."""
+    s = g[0] * g[0]
+    t = np.empty_like(s)
+    for row in g[1:]:
+        np.multiply(row, row, out=t)
+        s += t
+    return np.sqrt(s, out=s)
+
+
+def _points(op, g: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """New C-contiguous (n, k) array whose column i is ``op(g[i], scale)``."""
+    out = np.empty((g.shape[1], g.shape[0]))
+    for i, row in enumerate(g):
+        op(row, scale, out=out[:, i])
     return out
 
 
 def ball_samples(rng: RngStream, n: int) -> np.ndarray:
     """n points uniform in the unit ball, shape (n, 3).
 
-    Each point consumes 5 uniforms: 4 for two Box-Muller pairs (the 4th
-    normal is dropped) giving the direction, 1 for the radius u**(1/3).
+    Each point consumes 5 uniforms: 4 for two Box-Muller pairs giving the
+    direction (the 4th normal is dropped, so its sine is never computed),
+    1 for the radius u**(1/3).
     """
     u = rng.uniforms(5 * n).reshape(n, 5)
-    d = _normals(u[:, :4])[:, :3]
-    return d * (np.cbrt(u[:, 4]) / np.linalg.norm(d, axis=1))[:, None]
+    g = _normals(u, 3)
+    s = np.cbrt(u[:, 4])
+    s /= _norms(g)
+    return _points(np.multiply, g, s)
 
 
 def sphere_samples(rng: RngStream, n: int) -> np.ndarray:
-    """n points uniform on the unit 2-sphere, shape (n, 3); 4 uniforms each."""
-    d = _normals(rng.uniforms(4 * n).reshape(n, 4))[:, :3]
-    return d / np.linalg.norm(d, axis=1)[:, None]
+    """n points uniform on the unit 2-sphere, shape (n, 3); 4 uniforms each, 4th sine skipped."""
+    g = _normals(rng.uniforms(4 * n).reshape(n, 4), 3)
+    return _points(np.divide, g, _norms(g))
 
 
 def sphere4_samples(rng: RngStream, n: int) -> np.ndarray:
     """n points uniform on the unit 3-sphere in R^4, shape (n, 4)."""
-    g = _normals(rng.uniforms(4 * n).reshape(n, 4))
-    return g / np.linalg.norm(g, axis=1)[:, None]
+    g = _normals(rng.uniforms(4 * n).reshape(n, 4), 4)
+    return _points(np.divide, g, _norms(g))
 
 
 def map_batches(rng: RngStream, n: int, batch: int, fn, workers: int = 1) -> list:

@@ -90,7 +90,7 @@ def brute_force_best(
         xs = sphere4_samples(stream, size)
         d = _delta_batch(e, xs, base_value)
         j = int(np.argmax(d))
-        return float(d[j]), xs[j]
+        return float(d[j]), xs[j].copy()  # a view would keep the whole batch alive
 
     for d, x in map_batches(rng, n, _BATCH, run_batch, workers):
         if d > best_delta:

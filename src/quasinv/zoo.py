@@ -269,8 +269,9 @@ def _make_rotation(params: dict) -> tuple[KrausChannel, GoldenExpectation]:
     axis = np.asarray(params["axis"], dtype=float)
     if axis.shape != (3,):
         raise ValueError("rotation axis must be a 3-vector")
-    norm = float(np.linalg.norm(axis))
-    if abs(norm - 1.0) > 1e-6:
+    with np.errstate(over="ignore"):  # an overflowing norm is inf and fails the bound
+        norm = float(np.linalg.norm(axis))
+    if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"rotation axis must be a unit vector, |n| = {norm}")
     axis = axis / norm
     half = 0.5 * theta
