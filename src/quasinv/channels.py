@@ -49,21 +49,22 @@ def check_bloch(r, tol: float = BLOCH_TOL) -> np.ndarray:
 class KrausChannel:
     """A channel given by a nonempty trace-preserving set of 2x2 Kraus operators.
 
-    ``residual`` is the TP residual of the operators as constructed.
+    ``operators`` is a read-only (k, 2, 2) complex copy of the input, so
+    ``residual``, its TP residual computed once at construction, stays valid.
     """
 
-    operators: list
+    operators: np.ndarray
     residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = [np.asarray(op, dtype=complex) for op in self.operators]
-        if not ops:
+        ops = np.array(self.operators, dtype=complex, order="C")
+        if not ops.size:
             raise ValueError("Kraus channel needs at least one operator")
-        for op in ops:
-            if op.shape != (2, 2):
-                raise ValueError(f"Kraus operators must be 2x2, got {op.shape}")
-            if not np.all(np.isfinite(op)):
-                raise ValueError("Kraus operator has non-finite entries")
+        if ops.ndim != 3 or ops.shape[1:] != (2, 2):
+            raise ValueError(f"Kraus operators must be 2x2, got a stack of shape {ops.shape}")
+        if not np.isfinite(ops).all():
+            raise ValueError("Kraus operator has non-finite entries")
+        ops.flags.writeable = False
         self.operators = ops
         self.residual = self.tp_residual()
         if not (self.residual <= TP_TOL):
@@ -71,7 +72,7 @@ class KrausChannel:
 
     def tp_residual(self) -> float:
         """Frobenius norm of sum_k E_k^dag E_k - I."""
-        ops = np.asarray(self.operators)
+        ops = self.operators
         with np.errstate(all="ignore"):  # entries beyond ~1e154 overflow to inf or nan
             return float(np.linalg.norm(np.einsum("kji,kjl->il", ops.conj(), ops) - IDENTITY2))
 
@@ -118,9 +119,7 @@ def identity_channel() -> AffineChannel:
 
 def kraus_to_affine(k: KrausChannel) -> AffineChannel:
     """Affine (m, c) of a Kraus channel: m_ij = Tr(s_i E(s_j))/2, c_i = Tr(s_i E(I))/2."""
-    if not (k.tp_residual() <= TP_TOL):
-        raise ValueError("Kraus set is not trace preserving")
-    ops = np.array(k.operators)
+    ops = k.operators
     t = 0.5 * np.einsum("aij,kjl,blm,kim->ab", _PAULI4[1:], ops, _PAULI4, ops.conj()).real
     return AffineChannel(t[:, 1:], t[:, 0])
 
@@ -231,7 +230,7 @@ def validate_cptp(channel) -> CptpReport:
     eigenvalue being >= -1e-9.
     """
     if isinstance(channel, KrausChannel):
-        return _cptp_report(kraus_to_affine(channel), channel.tp_residual())
+        return _cptp_report(kraus_to_affine(channel), channel.residual)
     if isinstance(channel, AffineChannel):
         return _cptp_report(channel, None)
     raise TypeError(f"expected KrausChannel or AffineChannel, got {type(channel)!r}")

@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import documents, oracle, zoo
-from .channels import CptpReport, _cptp_report, random_channel
+from .channels import _cptp_report, random_channel
 from .documents import (
     DocumentError,
     ParsedChannel,
@@ -126,15 +126,6 @@ def _read_document(path: str) -> ParsedChannel:
     return parse_channel_document(obj)
 
 
-def _cptp_json(report: CptpReport) -> dict:
-    return {
-        "tp_exact": report.tp_exact,
-        "tp_residual": report.tp_residual,
-        "min_choi_eigenvalue": report.min_choi_eigenvalue,
-        "passed": report.passed,
-    }
-
-
 def _affine_json(e) -> dict:
     return {"m": e.m.tolist(), "c": e.c.tolist()}
 
@@ -148,7 +139,8 @@ def _validated(parsed: ParsedChannel, fmt: str) -> dict | None:
     # parsed.affine is already the affine form of parsed.kraus: check it once
     residual = None if parsed.kraus is None else parsed.kraus.residual
     report = _cptp_report(parsed.affine, residual)
-    doc = {"input": parsed.doc, "affine": _affine_json(parsed.affine), "cptp": _cptp_json(report)}
+    # reports render as vars(): their dataclass field order is the documents' key order
+    doc = {"input": parsed.doc, "affine": _affine_json(parsed.affine), "cptp": vars(report)}
     if report.passed:
         return doc
     _print_doc(doc, fmt)
@@ -196,16 +188,7 @@ def cmd_mstd(args) -> int:
         mstd = mstd_surface_analytic(parsed.affine)
     else:
         mstd = mstd_analytic(parsed.affine)
-    doc = {
-        "input": parsed.doc,
-        "mstd": {
-            "value": mstd.value,
-            "method": mstd.method,
-            "stderr": mstd.stderr,
-            "n_samples": mstd.n_samples,
-        },
-    }
-    _print_doc(doc, args.format)
+    _print_doc({"input": parsed.doc, "mstd": vars(mstd)}, args.format)
     return EXIT_OK
 
 
@@ -251,18 +234,7 @@ def cmd_verify(args) -> int:
         RngStream(args.seed),
         channel_id=parsed.label,
     )
-    doc = {
-        "input": parsed.doc,
-        "verification": {
-            "channel_id": verification.channel_id,
-            "solver_delta": verification.solver_delta,
-            "best_sampled_delta": verification.best_sampled_delta,
-            "n_samples": verification.n_samples,
-            "max_violation": verification.max_violation,
-            "passed": verification.passed,
-        },
-    }
-    _print_doc(doc, args.format)
+    _print_doc({"input": parsed.doc, "verification": vars(verification)}, args.format)
     return EXIT_OK if verification.passed else EXIT_VERIFY
 
 

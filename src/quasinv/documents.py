@@ -259,7 +259,7 @@ def parse_channel_document(obj) -> ParsedChannel:
             message = "each kraus operator must be a 2x2 matrix of [re, im] number pairs"
             arr = _as_array(raw_ops, (len(raw_ops), 2, 2, 2), message)
             with np.errstate(invalid="ignore"):  # inf * 0j is nan, which KrausChannel refuses
-                ops = list(arr[..., 0] + 1j * arr[..., 1])
+                ops = arr[..., 0] + 1j * arr[..., 1]
             kraus = KrausChannel(ops)
             affine = kraus_to_affine(kraus)
         elif doc_type == "affine":

@@ -26,7 +26,7 @@ from .channels import (
     validate_cptp,
 )
 from .metrics import mstd_analytic, mstd_composed
-from .numerics import eig_sym4
+from .numerics import eig_sym4, eigh_desc
 
 TRIVIAL_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
@@ -125,7 +125,7 @@ def quasi_inverse(e: AffineChannel) -> QuasiInverseResult:
 def _solve(e: AffineChannel) -> tuple[QuasiInverseResult, QForm]:
     """quasi_inverse without the CPTP check, plus the form it maximized."""
     qf = build_q(e)
-    w, v = eig_sym4(qf.q)
+    w, v = eigh_desc(qf.q)  # build_q's form is finite and exactly symmetric
     lam = float(w[0])
     degenerate = bool(w[0] - w[1] < DEGENERACY_TOL)
     trivial = lam <= TRIVIAL_TOL

@@ -22,8 +22,6 @@ results either way.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -206,6 +204,8 @@ def map_batches(rng: RngStream, n: int, batch: int, fn, workers: int = 1) -> lis
         return fn(substream(base, k), sizes[k])
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded on the CLI's one-worker path
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, range(len(sizes))))
     return [run(k) for k in range(len(sizes))]

@@ -75,6 +75,16 @@ class TestKrausChannel:
     def test_tp_residual_small_for_valid(self):
         assert gad_kraus(0.4, 0.7).tp_residual() < 1e-15
 
+    def test_operators_are_one_read_only_stack(self):
+        ops = [SIGMA_X.copy()]
+        k = KrausChannel(ops)
+        assert k.operators.shape == (1, 2, 2) and k.operators.dtype == complex
+        with pytest.raises(ValueError):
+            k.operators[0, 0, 0] = 2.0
+        ops[0][0, 0] = 2.0  # the channel holds its own copy
+        assert k.operators[0, 0, 0] == 0.0
+        assert k.residual == k.tp_residual()
+
 
 class TestKrausToAffine:
     def test_identity(self):
@@ -322,6 +332,33 @@ class TestValidateCptp:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             validate_cptp(np.eye(3))
+
+    def test_kraus_report_reads_the_stored_residual(self, monkeypatch):
+        k = random_channel(RngStream(5), 3)
+        calls = []
+        original = KrausChannel.tp_residual
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(KrausChannel, "tp_residual", counting)
+        report = validate_cptp(k)
+        assert calls == []
+        assert report.tp_residual == k.residual
+
+
+# TP residual 7.07e-11 passes TP_TOL = 1e-10, but |c| = 1 + 5e-11 is past
+# the 1 + 1e-12 bound on c: the affine form's own check must catch it.
+KRAUS_C_BOUNDARY = [np.array([[1.000000000025, 0], [0, 0]]), np.array([[0, 1.000000000025], [0, 0]])]
+
+
+class TestKrausTranslationBoundary:
+    def test_tp_passes_and_the_affine_check_refuses(self):
+        k = KrausChannel(KRAUS_C_BOUNDARY)
+        assert 7.0e-11 < k.residual <= 1e-10
+        with pytest.raises(ValueError, match="translation vector outside the ball"):
+            kraus_to_affine(k)
 
 
 class TestRandomChannel:

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -16,6 +17,7 @@ import quasinv.cli as cli
 from quasinv.channels import (
     PAULIS,
     KrausChannel,
+    UnitaryParams,
     kraus_to_affine,
     phase_distance,
     random_channel,
@@ -31,7 +33,7 @@ from quasinv.documents import (
     kraus_document,
     parse_channel_document,
 )
-from quasinv.numerics import RngStream
+from quasinv.numerics import RngStream, sample_sphere4
 from quasinv.oracle import VerificationReport
 
 
@@ -566,8 +568,8 @@ class TestTpResidualCount:
             {"type": "gad", "gamma": -0.5, "p": 0.2},
         ],
     )
-    def test_analyze_computes_it_twice(self, capsys, monkeypatch, doc):
-        # once when the Kraus set is built, once in the kraus_to_affine guard
+    def test_analyze_computes_it_once(self, capsys, monkeypatch, doc):
+        # when the Kraus set is built; the read-only operators keep it valid
         calls = []
         original = KrausChannel.tp_residual
 
@@ -578,6 +580,83 @@ class TestTpResidualCount:
         monkeypatch.setattr(KrausChannel, "tp_residual", counting)
         code, out, _ = analyze_text(capsys, monkeypatch, json.dumps(doc))
         assert code == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
         parsed = parse_channel_document(doc)
         assert json.loads(out)["cptp"]["tp_residual"] == original(parsed.kraus)
+
+
+# Largest singular value just under the 1 + 1e-9 bound: the channel parses
+# and passes the CPTP check, while the product with the quasi-inverse rounds
+# to 1.0000000010000003, just past the bound.
+CONTRACTION_BOUNDARY = {
+    "type": "affine",
+    "m": [
+        [0.5563327137294587, 0.06498002526038026, 0.828415058984068],
+        [0.33041950736371023, 0.8974345419388448, -0.29229128294996926],
+        [-0.7624413831816446, 0.43633569788888044, 0.47780152569857337],
+    ],
+    "c": [0, 0, 0],
+}
+
+
+def boundary_rotation(rng):
+    """(1 + 1e-9) R for a random rotation R, scaled down by 1 - 2e-16 until AffineChannel accepts it."""
+    m = (1.0 + 1e-9) * quasinv.unitary_to_affine(UnitaryParams.from_vector(sample_sphere4(rng))).m
+    for _ in range(100):
+        try:
+            return quasinv.AffineChannel(m, np.zeros(3))
+        except ValueError:
+            m = m * (1.0 - 2e-16)
+    raise AssertionError("no accepted scaling")
+
+
+class TestContractionBoundary:
+    @pytest.mark.parametrize(
+        "argv,schema",
+        [(["analyze", "-"], RESULT_DOCUMENT_SCHEMA), (["verify", "-"], VERIFICATION_DOCUMENT_SCHEMA)],
+    )
+    def test_cli_answers(self, argv, schema):
+        # a fresh interpreter with default warning filters, so any warning reaches stderr;
+        # verify runs at its default 100,000 samples (10,000 miss the 1 % nearness bound here)
+        env = dict(os.environ, PYTHONPATH=str(Path(quasinv.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quasinv.cli", *argv],
+            input=json.dumps(CONTRACTION_BOUNDARY), capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        jsonschema.validate(json.loads(proc.stdout), schema)
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_api_answers(self):
+        e = parse_channel_document(CONTRACTION_BOUNDARY).affine
+        result = quasinv.quasi_inverse(e)
+        u = UnitaryParams.from_vector(result.x)
+        assert quasinv.delta_mstd_direct(e, u) == pytest.approx(result.delta_mstd, abs=1e-12)
+
+    def test_seeded_sweep(self, capsys, monkeypatch):
+        rng = RngStream(2024)
+        for _ in range(200):
+            e = boundary_rotation(rng)
+            doc = {"type": "affine", "m": e.m.tolist(), "c": [0, 0, 0]}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = analyze_text(capsys, monkeypatch, json.dumps(doc))
+            assert code in (0, 3), err
+            jsonschema.validate(json.loads(out), RESULT_DOCUMENT_SCHEMA)
+
+
+class TestKrausTranslationBoundary:
+    def test_exits_2(self, capsys, monkeypatch):
+        # TP residual 7.07e-11 is within TP_TOL; |c| = 1 + 5e-11 is not within 1 + 1e-12
+        a = [1.000000000025, 0]
+        doc = {"type": "kraus", "operators": [[[a, [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], a], [[0, 0], [0, 0]]]]}
+        code, out, err = analyze_text(capsys, monkeypatch, json.dumps(doc))
+        assert_parse_error(code, out, err)
+        assert "translation vector outside the ball" in json.loads(out)["error"]["message"]
+
+
+def test_cli_import_leaves_out_thread_pools():
+    env = dict(os.environ, PYTHONPATH=str(Path(quasinv.__file__).resolve().parents[1]))
+    code = "import sys, quasinv.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.strip() == "False", proc.stderr

@@ -1,8 +1,8 @@
-"""Golden outputs and contracts of the channel-family and sampling code.
+"""Golden outputs and contracts of the channel-family, sampling and analysis code.
 
-The digests and literals below were captured before the family table and
-the shared batch and normals helpers existed; they pin the bytes those
-helpers must reproduce.
+The digests and literals below were captured before the family table, the
+shared batch and normals helpers, and the rendering of reports from their
+own dataclass fields existed; they pin the bytes those must reproduce.
 """
 
 import hashlib
@@ -15,7 +15,8 @@ import pytest
 
 import quasinv
 import quasinv.cli as cli
-from quasinv.documents import CHANNEL_DOCUMENT_SCHEMA, CHANNEL_TYPES
+from quasinv.channels import random_channel
+from quasinv.documents import CHANNEL_DOCUMENT_SCHEMA, CHANNEL_TYPES, dumps, kraus_document
 from quasinv.numerics import RngStream, ball_samples, sphere4_samples, sphere_samples
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -179,6 +180,55 @@ class TestSampledGolden:
     @pytest.mark.parametrize("draw,digest", SAMPLER_SHA256)
     def test_sampler_bytes(self, draw, digest):
         assert hashlib.sha256(draw().tobytes()).hexdigest() == digest
+
+
+# Non-degenerate optima only, so the bytes do not depend on LAPACK's order of tied eigenvectors.
+ANALYTIC_DOCUMENTS = {
+    "pauli": PAULI_DOCUMENT,
+    "gad": json.dumps({"type": "gad", "gamma": -0.5, "p": 0.2}),
+    "rotation": json.dumps({"type": "unitary", "theta": 2.2, "axis": [0.6, 0, 0.8]}),
+    "kraus": dumps(kraus_document(random_channel(RngStream(11), 3))),
+    "non_cp": json.dumps({"type": "affine", "m": [[1, 0, 0], [0, 1, 0], [0, 0, -1]], "c": [0, 0, 0]}),
+}
+ANALYTIC_ARGV = {
+    "analyze": ["analyze", "-"],
+    "table": ["analyze", "-", "--format", "table"],
+    "mstd": ["mstd", "-"],
+    "surface": ["mstd", "-", "--surface"],
+}
+_NON_CP_SHA256 = "703ca36d06c50555c4531492c4fb86b68743c94c3adedb7f675cbe730d726f3a"
+# (document, command, exit code, sha256 of stdout)
+ANALYTIC_SHA256 = [
+    ("pauli", "analyze", 0, "727a200309a64c9a123c64e9e6356e873e7a67b90f75acbef60b2bbc4cfe06ca"),
+    ("pauli", "table", 0, "0cfc6071028834b0ad03ae85d94290c9652e916bb65fe1688cd883aedcff4154"),
+    ("pauli", "mstd", 0, "49b9e8254ef8b9b4a529542049f069591196b88498030585f181b798dd058e16"),
+    ("pauli", "surface", 0, "08e40d7d49c942a7c4801a28683a4c7445a9e4631b482598adbafaa7c83c2bbb"),
+    ("gad", "analyze", 0, "bc05f5fcb02f0d6c59b80d492d62523ab426aff76a94837188c419be6c60af74"),
+    ("gad", "table", 0, "bc2750a974d761724ee4a228e05bfabf03a4d0c87dda2bdb75a9a2479b27e9a8"),
+    ("gad", "mstd", 0, "ad6ef62cecf45fda267bd2d3e826eeb7e9c624aa625fade229f0c6b9c14814e4"),
+    ("gad", "surface", 0, "d0998db6f29fe0569a0fb4281fd8851ea01f58dd54c842e638eebf194ba986b3"),
+    ("rotation", "analyze", 0, "235a54a60923fce741a17bc341d9e8c178dc99f765dc4fa175f7c6bd98b1a73a"),
+    ("rotation", "table", 0, "90bf1b674c7e64e4acea5409ce889e5b67a7d1401325dbd97b8a15487d98400e"),
+    ("rotation", "mstd", 0, "b813a727e60a2d73de0476ba23e8b6f8c0a964fd21b1205c2943622e6fbdf708"),
+    ("rotation", "surface", 0, "d9fcf16039dfaae7fcc39d12fd9863c7e12f16b4bdd03ddf4814f78d1ecb4854"),
+    ("kraus", "analyze", 0, "6e1d0c101af146b2861b9b559b36f5c8b7e5e3adf2fddf545b8e7ea4a7d44af5"),
+    ("kraus", "table", 0, "7de126a4309ef3ae54e826979622481bf944a7ce6ead6149eb535bfa3fe1b158"),
+    ("kraus", "mstd", 0, "a185dd6cfc07118b4c384f2897ca9674b8d87cbab4356a4e1cf15e3362bfe88b"),
+    ("kraus", "surface", 0, "e1739e6247f98775404e77addd5514d639d43c4cf19dc1226fd5f2e372f77603"),
+    # a channel that fails the CPTP check prints its input, affine form and report only
+    ("non_cp", "analyze", 3, _NON_CP_SHA256),
+    ("non_cp", "table", 3, "f5835c9f08e535fda0769cc0b4850a1cd6d6a62b181da9b62e78a8bdae0d54b9"),
+    ("non_cp", "mstd", 3, _NON_CP_SHA256),
+    ("non_cp", "surface", 3, _NON_CP_SHA256),
+]
+
+
+class TestAnalyticGolden:
+    @pytest.mark.parametrize("name,command,exit_code,digest", ANALYTIC_SHA256)
+    def test_cli_bytes(self, capsys, monkeypatch, name, command, exit_code, digest):
+        code, out = run_cli(capsys, monkeypatch, ANALYTIC_ARGV[command], stdin=ANALYTIC_DOCUMENTS[name])
+        assert code == exit_code
+        assert sha256(out) == digest
 
 
 EXPECTED_ALL = [
