@@ -32,7 +32,7 @@ BLOCH_TOL = 1e-12
 UNIT_NORM_TOL = 1e-12
 
 
-def check_bloch(r, tol: float = BLOCH_TOL) -> np.ndarray:
+def check_bloch(r) -> np.ndarray:
     """Validate and return a Bloch vector (real 3-vector inside the ball)."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
@@ -40,12 +40,12 @@ def check_bloch(r, tol: float = BLOCH_TOL) -> np.ndarray:
     if not np.all(np.isfinite(r)):
         raise ValueError("Bloch vector has non-finite entries")
     norm = float(np.linalg.norm(r))
-    if not (norm <= 1.0 + tol):
+    if not (norm <= 1.0 + BLOCH_TOL):
         raise ValueError(f"Bloch vector leaves the unit ball: |r| = {norm}")
     return r
 
 
-@dataclass
+@dataclass(eq=False)
 class KrausChannel:
     """A channel given by a nonempty trace-preserving set of 2x2 Kraus operators.
 
@@ -54,7 +54,7 @@ class KrausChannel:
     """
 
     operators: np.ndarray
-    residual: float = field(init=False, repr=False, compare=False)
+    residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = np.array(self.operators, dtype=complex, order="C")
@@ -85,7 +85,7 @@ class KrausChannel:
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class AffineChannel:
     """Bloch-vector action r -> m r + c of a trace-preserving qubit map."""
 
@@ -134,7 +134,7 @@ def compose(e2: AffineChannel, e1: AffineChannel) -> AffineChannel:
     return AffineChannel(e2.m @ e1.m, e2.m @ e1.c + e2.c)
 
 
-@dataclass
+@dataclass(eq=False)
 class UnitaryParams:
     """Unitary V = x0 I + i x.sigma with x0^2 + |x|^2 = 1."""
 
@@ -228,6 +228,10 @@ def validate_cptp(channel) -> CptpReport:
     Affine inputs are trace preserving by construction; Kraus inputs carry
     their completeness residual. Complete positivity is the smallest Choi
     eigenvalue being >= -1e-9.
+
+    Raises ValueError, rather than returning a report, for a Kraus set
+    whose residual passes TP_TOL but whose affine translation leaves the
+    ball (|c| > 1 + BLOCH_TOL), as kraus_to_affine does.
     """
     if isinstance(channel, KrausChannel):
         return _cptp_report(kraus_to_affine(channel), channel.residual)

@@ -8,12 +8,14 @@ with 17 significant digits so documents round-trip exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .channels import AffineChannel, KrausChannel, kraus_to_affine
+from .channels import AffineChannel, CptpReport, KrausChannel, kraus_to_affine
+from .metrics import METHODS, MstdReport
+from .oracle import VerificationReport
 from .zoo import FAMILY_TABLE, Family, FamilySpec, make
 
 _FAMILY_BY_TYPE = {family.doc_type: family for family in FAMILY_TABLE}
@@ -94,16 +96,35 @@ CHANNEL_DOCUMENT_SCHEMA = {
     ],
 }
 
-_CPTP_SCHEMA = {
-    "type": "object",
-    "required": ["tp_exact", "tp_residual", "min_choi_eigenvalue", "passed"],
-    "properties": {
-        "tp_exact": {"type": "boolean"},
-        "tp_residual": {"type": ["number", "null"]},
-        "min_choi_eigenvalue": {"type": "number"},
-        "passed": {"type": "boolean"},
-    },
-}
+_JSON_TYPES = {"bool": "boolean", "float": "number", "int": "integer", "str": "string"}
+
+
+def _json_type(annotation: str) -> str | list:
+    """JSON type of a report field's annotation: bool, float, int, str, or one of them | None."""
+    if annotation.endswith(" | None"):
+        return [_JSON_TYPES[annotation.removesuffix(" | None")], "null"]
+    return _JSON_TYPES[annotation]
+
+
+def _report_schema(cls, **overrides) -> dict:
+    """Schema of a report rendered as vars(report): every field is required, in field order."""
+    properties = {
+        f.name: overrides[f.name] if f.name in overrides else {"type": _json_type(f.type)}
+        for f in fields(cls)
+    }
+    return {"type": "object", "required": list(properties), "properties": properties}
+
+
+def _report_document_schema(title: str, key: str, report: dict) -> dict:
+    """Schema of a document holding the input channel document and one report under key."""
+    return {
+        "$schema": "http://json-schema.org/draft-07/schema#",
+        "title": title,
+        "type": "object",
+        "required": ["input", key],
+        "properties": {"input": {"type": "object"}, key: report},
+    }
+
 
 RESULT_DOCUMENT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -117,22 +138,14 @@ RESULT_DOCUMENT_SCHEMA = {
             "required": ["m", "c"],
             "properties": {"m": _RMATRIX3, "c": _RVECTOR3},
         },
-        "cptp": _CPTP_SCHEMA,
+        "cptp": _report_schema(CptpReport),
         "mstd_before": {"type": "number"},
         "q_matrix": _RMATRIX4,
         "lambda_max": {"type": "number"},
         "quasi_inverse": {
             "type": "object",
             "required": ["x", "matrix"],
-            "properties": {
-                "x": {
-                    "type": "array",
-                    "minItems": 4,
-                    "maxItems": 4,
-                    "items": {"type": "number"},
-                },
-                "matrix": _CMATRIX2,
-            },
+            "properties": {"x": _rvector(4), "matrix": _CMATRIX2},
         },
         "delta_mstd": {"type": "number"},
         "mstd_after": {"type": "number"},
@@ -141,61 +154,13 @@ RESULT_DOCUMENT_SCHEMA = {
     },
 }
 
-MSTD_DOCUMENT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "mstd document",
-    "type": "object",
-    "required": ["input", "mstd"],
-    "properties": {
-        "input": {"type": "object"},
-        "mstd": {
-            "type": "object",
-            "required": ["value", "method", "stderr", "n_samples"],
-            "properties": {
-                "value": {"type": "number"},
-                "method": {
-                    "enum": [
-                        "analytic-ball",
-                        "analytic-surface",
-                        "monte-carlo-ball",
-                        "monte-carlo-surface",
-                    ]
-                },
-                "stderr": {"type": ["number", "null"]},
-                "n_samples": {"type": ["integer", "null"]},
-            },
-        },
-    },
-}
+MSTD_DOCUMENT_SCHEMA = _report_document_schema(
+    "mstd document", "mstd", _report_schema(MstdReport, method={"enum": list(METHODS)})
+)
 
-VERIFICATION_DOCUMENT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "verification document",
-    "type": "object",
-    "required": ["input", "verification"],
-    "properties": {
-        "input": {"type": "object"},
-        "verification": {
-            "type": "object",
-            "required": [
-                "channel_id",
-                "solver_delta",
-                "best_sampled_delta",
-                "n_samples",
-                "max_violation",
-                "passed",
-            ],
-            "properties": {
-                "channel_id": {"type": "string"},
-                "solver_delta": {"type": "number"},
-                "best_sampled_delta": {"type": "number"},
-                "n_samples": {"type": "integer"},
-                "max_violation": {"type": "number"},
-                "passed": {"type": "boolean"},
-            },
-        },
-    },
-}
+VERIFICATION_DOCUMENT_SCHEMA = _report_document_schema(
+    "verification document", "verification", _report_schema(VerificationReport)
+)
 
 ERROR_DOCUMENT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",

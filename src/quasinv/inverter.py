@@ -35,7 +35,7 @@ DEGENERACY_TOL = 1e-10
 _SURFACE_SCALE = 5.0 / 3.0
 
 
-@dataclass
+@dataclass(eq=False)
 class QForm:
     """Symmetric 4x4 quadratic form of the MSTD decrease; q[0, 0] = 0."""
 
@@ -50,7 +50,7 @@ class QForm:
         self.q = q
 
 
-@dataclass
+@dataclass(eq=False)
 class QuasiInverseResult:
     """Maximizer of the MSTD decrease and the bookkeeping around it."""
 

@@ -27,6 +27,7 @@ METHOD_ANALYTIC_BALL = "analytic-ball"
 METHOD_ANALYTIC_SURFACE = "analytic-surface"
 METHOD_MC_BALL = "monte-carlo-ball"
 METHOD_MC_SURFACE = "monte-carlo-surface"
+METHODS = (METHOD_ANALYTIC_BALL, METHOD_ANALYTIC_SURFACE, METHOD_MC_BALL, METHOD_MC_SURFACE)
 
 
 @dataclass
@@ -48,15 +49,12 @@ def trace_distance(r, z) -> float:
 
 def mstd_analytic(e: AffineChannel) -> MstdReport:
     """Closed-form ball-averaged MSTD of a channel."""
-    value = _ball_value(e.m, e.c)
-    return MstdReport(value=value, method=METHOD_ANALYTIC_BALL)
+    return MstdReport(value=_closed_form(e.m, e.c, 20.0), method=METHOD_ANALYTIC_BALL)
 
 
 def mstd_surface_analytic(e: AffineChannel) -> MstdReport:
     """Closed-form MSTD averaged over the ball surface (pure inputs)."""
-    m, c = e.m, e.c
-    value = (np.sum(m * m) - 2.0 * np.trace(m) + 3.0) / 12.0 + 0.25 * float(c @ c)
-    return MstdReport(value=max(value, 0.0), method=METHOD_ANALYTIC_SURFACE)
+    return MstdReport(value=_closed_form(e.m, e.c, 12.0), method=METHOD_ANALYTIC_SURFACE)
 
 
 def mstd_composed(ei: AffineChannel, e: AffineChannel) -> MstdReport:
@@ -67,11 +65,13 @@ def mstd_composed(ei: AffineChannel, e: AffineChannel) -> MstdReport:
     value of mstd_analytic(compose(ei, e)), and a composition that rounds
     just past the contraction bound of AffineChannel still gets its value.
     """
-    return MstdReport(value=_ball_value(ei.m @ e.m, ei.m @ e.c + ei.c), method=METHOD_ANALYTIC_BALL)
+    value = _closed_form(ei.m @ e.m, ei.m @ e.c + ei.c, 20.0)
+    return MstdReport(value=value, method=METHOD_ANALYTIC_BALL)
 
 
-def _ball_value(m: np.ndarray, c: np.ndarray) -> float:
-    value = (np.sum(m * m) - 2.0 * np.trace(m) + 3.0) / 20.0 + 0.25 * float(c @ c)
+def _closed_form(m: np.ndarray, c: np.ndarray, denominator: float) -> float:
+    """(Tr(M M^T) - 2 Tr M + 3) / denominator + |c|^2 / 4, clipped at 0."""
+    value = (np.sum(m * m) - 2.0 * np.trace(m) + 3.0) / denominator + 0.25 * float(c @ c)
     return max(float(value), 0.0)
 
 

@@ -34,6 +34,8 @@ _UNIFORM_SHIFT = np.uint64(11)  # keeps the top 53 bits of a word
 # Eigenvector components below this magnitude are treated as zero when
 # applying the sign convention.
 SIGN_TOL = 1e-12
+# Largest |h - h^dag| entry eig_herm4 accepts as Hermitian.
+HERMITIAN_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -257,12 +259,12 @@ def eig_sym4(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigh_desc(0.5 * (q + q.T))
 
 
-def eig_herm4(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def eig_herm4(h: np.ndarray) -> np.ndarray:
     """Eigenvalues (descending) of a Hermitian 4x4 matrix."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
     dev = float(np.abs(h - h.conj().T).max())
-    if not (dev <= tol):
+    if not (dev <= HERMITIAN_TOL):
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return np.linalg.eigvalsh(0.5 * (h + h.conj().T))[::-1]

@@ -43,7 +43,7 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
 
 
-@dataclass
+@dataclass(eq=False)
 class GoldenExpectation:
     """Closed-form optimum of a family point, where one is known.
 

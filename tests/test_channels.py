@@ -22,9 +22,11 @@ from quasinv.channels import (
     unitary_to_affine,
     validate_cptp,
 )
+from quasinv.inverter import QForm, QuasiInverseResult
 from quasinv.numerics import RngStream, ball_samples, eig_herm4, sphere4_samples
 from quasinv.zoo import (
     FAMILIES,
+    GoldenExpectation,
     gad_spec,
     make,
     mixed_unitary_spec,
@@ -360,6 +362,32 @@ class TestKrausTranslationBoundary:
         with pytest.raises(ValueError, match="translation vector outside the ball"):
             kraus_to_affine(k)
 
+    def test_validate_cptp_raises_instead_of_reporting(self):
+        with pytest.raises(ValueError, match="translation vector outside the ball"):
+            validate_cptp(KrausChannel(KRAUS_C_BOUNDARY))
+
+
+# two separately built values that hold equal arrays
+EQUAL_VALUES = {
+    "affine": lambda: AffineChannel(np.eye(3), np.zeros(3)),
+    "identity": identity_channel,
+    "kraus": lambda: KrausChannel([IDENTITY2]),
+    "unitary": lambda: UnitaryParams(1.0, np.zeros(3)),
+    "qform": lambda: QForm(np.zeros((4, 4))),
+    "result": lambda: QuasiInverseResult(np.eye(4)[0], IDENTITY2, 0.0, 0.0, 0.1, 0.1, True, False),
+    "golden": lambda: GoldenExpectation(IDENTITY2, 0.0, np.zeros((4, 4))),
+}
+
+
+class TestIdentityEquality:
+    """Values holding arrays compare by identity, never by their array fields."""
+
+    @pytest.mark.parametrize("name_a,name_b", [("affine", "identity"), *((n, n) for n in EQUAL_VALUES)])
+    def test_distinct_values_are_unequal(self, name_a, name_b):
+        a, b = EQUAL_VALUES[name_a](), EQUAL_VALUES[name_b]()
+        assert (a == b) is False
+        assert (a != b) is True
+        assert a == a
 
 class TestRandomChannel:
     def test_tp_to_tolerance(self):

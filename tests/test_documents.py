@@ -1,16 +1,22 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from quasinv.channels import KrausChannel, SIGMA_Y
+from quasinv.channels import CptpReport, KrausChannel, SIGMA_Y
 from quasinv.documents import (
+    MSTD_DOCUMENT_SCHEMA,
+    RESULT_DOCUMENT_SCHEMA,
+    VERIFICATION_DOCUMENT_SCHEMA,
     DocumentError,
     complex_matrix_to_json,
     dumps,
     kraus_document,
     parse_channel_document,
 )
+from quasinv.metrics import METHODS, MstdReport
+from quasinv.oracle import VerificationReport
 
 
 class TestParsing:
@@ -158,3 +164,25 @@ class TestGoldenBytes:
     def test_rejects_non_string_key(self):
         with pytest.raises(TypeError, match="keys"):
             dumps({1: 0.5})
+
+
+class TestReportSchemas:
+    """The cptp, mstd and verification sections follow their report dataclasses."""
+
+    @pytest.mark.parametrize(
+        "schema,key,cls",
+        [
+            (RESULT_DOCUMENT_SCHEMA, "cptp", CptpReport),
+            (MSTD_DOCUMENT_SCHEMA, "mstd", MstdReport),
+            (VERIFICATION_DOCUMENT_SCHEMA, "verification", VerificationReport),
+        ],
+    )
+    def test_fields_in_order(self, schema, key, cls):
+        section = schema["properties"][key]
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert section["required"] == names
+        assert list(section["properties"]) == names
+
+    def test_mstd_methods(self):
+        method = MSTD_DOCUMENT_SCHEMA["properties"]["mstd"]["properties"]["method"]
+        assert method == {"enum": list(METHODS)}

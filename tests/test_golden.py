@@ -1,8 +1,9 @@
 """Golden outputs and contracts of the channel-family, sampling and analysis code.
 
 The digests and literals below were captured before the family table, the
-shared batch and normals helpers, and the rendering of reports from their
-own dataclass fields existed; they pin the bytes those must reproduce.
+shared batch and normals helpers, the rendering of reports from their own
+dataclass fields, and the report schemas derived from those fields existed;
+they pin the bytes those must reproduce.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 
 import quasinv
 import quasinv.cli as cli
+from quasinv import documents
 from quasinv.channels import random_channel
 from quasinv.documents import CHANNEL_DOCUMENT_SCHEMA, CHANNEL_TYPES, dumps, kraus_document
 from quasinv.numerics import RngStream, ball_samples, sphere4_samples, sphere_samples
@@ -98,6 +100,22 @@ class TestChannelSchema:
 
     def test_key_order(self):
         assert json.dumps(CHANNEL_DOCUMENT_SCHEMA) == json.dumps(EXPECTED_CHANNEL_SCHEMA)
+
+
+# sha256 of json.dumps(<NAME>_DOCUMENT_SCHEMA), which keeps key order, from the hand-written schemas
+SCHEMA_SHA256 = [
+    ("CHANNEL", "d1a2c12370554992bc43604546b4f67f9849a3da319615e13f6d4d359ded7ddd"),
+    ("RESULT", "5ca79ed4de7bd97ca7bc824bfec9beec5adec4c4f5c9cb1143df3a8b3311a9ed"),
+    ("MSTD", "2c067a2a94850d087551b0b05cae2d0cb12a186280ecf3fd0820ed7f0457985a"),
+    ("VERIFICATION", "c8a66adfc3361240d977d820fa46a0e57d4877ac1c424b3369703fdc9e908a97"),
+    ("ERROR", "a37953c3ad11c7246c86bce85bf6059ce10a826b5a33cebed279713d3c432634"),
+]
+
+
+class TestPublishedSchemas:
+    @pytest.mark.parametrize("name,digest", SCHEMA_SHA256)
+    def test_bytes(self, name, digest):
+        assert sha256(json.dumps(getattr(documents, f"{name}_DOCUMENT_SCHEMA"))) == digest
 
 
 # sha256 of `quasinv zoo FAMILY -- PARAMS...` stdout
