@@ -47,6 +47,10 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         _emit_error("numeric", str(exc))
         return EXIT_NUMERIC
+    except RecursionError:
+        # json.loads of the input, or the echo of its input field in dumps or a table
+        _emit_error("parse", "document is nested too deeply")
+        return EXIT_PARSE
     except BrokenPipeError:
         return EXIT_OK
 
@@ -117,17 +121,13 @@ def _read_document(path: str) -> ParsedChannel:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path!r}: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     return parse_channel_document(obj)
-
-
-def _affine_json(e) -> dict:
-    return {"m": e.m.tolist(), "c": e.c.tolist()}
 
 
 def _validated(parsed: ParsedChannel, fmt: str) -> dict | None:
@@ -139,8 +139,7 @@ def _validated(parsed: ParsedChannel, fmt: str) -> dict | None:
     # parsed.affine is already the affine form of parsed.kraus: check it once
     residual = None if parsed.kraus is None else parsed.kraus.residual
     report = _cptp_report(parsed.affine, residual)
-    # reports render as vars(): their dataclass field order is the documents' key order
-    doc = {"input": parsed.doc, "affine": _affine_json(parsed.affine), "cptp": vars(report)}
+    doc = documents.validated_document(parsed, report)
     if report.passed:
         return doc
     _print_doc(doc, fmt)
@@ -153,22 +152,7 @@ def cmd_analyze(args) -> int:
     doc = _validated(parsed, args.format)
     if doc is None:
         return EXIT_CPTP
-    result, qf = _solve(parsed.affine)
-    doc.update(
-        {
-            "mstd_before": result.mstd_before,
-            "q_matrix": documents.real_matrix_to_json(qf.q),
-            "lambda_max": result.lambda_max,
-            "quasi_inverse": {
-                "x": result.x.tolist(),
-                "matrix": documents.complex_matrix_to_json(result.unitary),
-            },
-            "delta_mstd": result.delta_mstd,
-            "mstd_after": result.mstd_after,
-            "trivial": result.trivial,
-            "degenerate": result.degenerate,
-        }
-    )
+    doc.update(documents.solver_fields(*_solve(parsed.affine)))
     _print_doc(doc, args.format)
     return EXIT_OK
 
@@ -188,7 +172,7 @@ def cmd_mstd(args) -> int:
         mstd = mstd_surface_analytic(parsed.affine)
     else:
         mstd = mstd_analytic(parsed.affine)
-    _print_doc({"input": parsed.doc, "mstd": vars(mstd)}, args.format)
+    _print_doc(documents.report_document(parsed, "mstd", mstd), args.format)
     return EXIT_OK
 
 
@@ -234,7 +218,7 @@ def cmd_verify(args) -> int:
         RngStream(args.seed),
         channel_id=parsed.label,
     )
-    _print_doc({"input": parsed.doc, "verification": vars(verification)}, args.format)
+    _print_doc(documents.report_document(parsed, "verification", verification), args.format)
     return EXIT_OK if verification.passed else EXIT_VERIFY
 
 

@@ -14,6 +14,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .channels import AffineChannel, CptpReport, KrausChannel, kraus_to_affine
+from .inverter import QForm, QuasiInverseResult
 from .metrics import METHODS, MstdReport
 from .oracle import VerificationReport
 from .zoo import FAMILY_TABLE, Family, FamilySpec, make
@@ -106,75 +107,64 @@ def _json_type(annotation: str) -> str | list:
     return _JSON_TYPES[annotation]
 
 
-def _report_schema(cls, **overrides) -> dict:
-    """Schema of a report rendered as vars(report): every field is required, in field order."""
-    properties = {
-        f.name: overrides[f.name] if f.name in overrides else {"type": _json_type(f.type)}
-        for f in fields(cls)
-    }
+def _object(properties: dict) -> dict:
+    """Schema of an object whose properties are all required."""
     return {"type": "object", "required": list(properties), "properties": properties}
 
 
-def _report_document_schema(title: str, key: str, report: dict) -> dict:
-    """Schema of a document holding the input channel document and one report under key."""
+def _report_schema(cls, **overrides) -> dict:
+    """Schema of a report rendered as vars(report): every field is required, in field order."""
+    return _object({
+        f.name: overrides[f.name] if f.name in overrides else {"type": _json_type(f.type)}
+        for f in fields(cls)
+    })
+
+
+def _document_schema(title: str, required: dict, optional: dict | None = None) -> dict:
+    """Schema of a top-level document: its required properties, then any optional ones."""
     return {
         "$schema": "http://json-schema.org/draft-07/schema#",
         "title": title,
         "type": "object",
-        "required": ["input", key],
-        "properties": {"input": {"type": "object"}, key: report},
+        "required": list(required),
+        "properties": {**required, **(optional or {})},
     }
 
 
-RESULT_DOCUMENT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "analysis result document",
-    "type": "object",
-    "required": ["input", "affine", "cptp"],
-    "properties": {
-        "input": {"type": "object"},
-        "affine": {
-            "type": "object",
-            "required": ["m", "c"],
-            "properties": {"m": _RMATRIX3, "c": _RVECTOR3},
-        },
-        "cptp": _report_schema(CptpReport),
-        "mstd_before": {"type": "number"},
-        "q_matrix": _RMATRIX4,
-        "lambda_max": {"type": "number"},
-        "quasi_inverse": {
-            "type": "object",
-            "required": ["x", "matrix"],
-            "properties": {"x": _rvector(4), "matrix": _CMATRIX2},
-        },
-        "delta_mstd": {"type": "number"},
-        "mstd_after": {"type": "number"},
-        "trivial": {"type": "boolean"},
-        "degenerate": {"type": "boolean"},
-    },
+_INPUT = {"type": "object"}  # the channel document, echoed as given
+
+# The analysis document's solver keys in order: solver_fields renders each
+# from the QuasiInverseResult field of that name, but q_matrix and quasi_inverse.
+# They are absent from the document of a channel that fails the CPTP check.
+_SOLVER_SCHEMAS = {
+    "mstd_before": {"type": "number"},
+    "q_matrix": _RMATRIX4,
+    "lambda_max": {"type": "number"},
+    "quasi_inverse": _object({"x": _rvector(4), "matrix": _CMATRIX2}),
+    "delta_mstd": {"type": "number"},
+    "mstd_after": {"type": "number"},
+    "trivial": {"type": "boolean"},
+    "degenerate": {"type": "boolean"},
 }
 
-MSTD_DOCUMENT_SCHEMA = _report_document_schema(
-    "mstd document", "mstd", _report_schema(MstdReport, method={"enum": list(METHODS)})
+RESULT_DOCUMENT_SCHEMA = _document_schema(
+    "analysis result document",
+    {"input": _INPUT, "affine": _object({"m": _RMATRIX3, "c": _RVECTOR3}), "cptp": _report_schema(CptpReport)},
+    _SOLVER_SCHEMAS,
 )
 
-VERIFICATION_DOCUMENT_SCHEMA = _report_document_schema(
-    "verification document", "verification", _report_schema(VerificationReport)
+MSTD_DOCUMENT_SCHEMA = _document_schema(
+    "mstd document",
+    {"input": _INPUT, "mstd": _report_schema(MstdReport, method={"enum": list(METHODS)})},
 )
 
-ERROR_DOCUMENT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "error document",
-    "type": "object",
-    "required": ["error"],
-    "properties": {
-        "error": {
-            "type": "object",
-            "required": ["code", "message"],
-            "properties": {"code": {"type": "string"}, "message": {"type": "string"}},
-        }
-    },
-}
+VERIFICATION_DOCUMENT_SCHEMA = _document_schema(
+    "verification document", {"input": _INPUT, "verification": _report_schema(VerificationReport)}
+)
+
+ERROR_DOCUMENT_SCHEMA = _document_schema(
+    "error document", {"error": _object({"code": {"type": "string"}, "message": {"type": "string"}})}
+)
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +255,32 @@ def complex_matrix_to_json(m: np.ndarray) -> list:
     return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex).tolist()]
 
 
-def real_matrix_to_json(m: np.ndarray) -> list:
-    return np.asarray(m, dtype=float).tolist()
-
-
 def kraus_document(k: KrausChannel, label: str = "") -> dict:
     doc = {"type": "kraus", "operators": [complex_matrix_to_json(op) for op in k.operators]}
     if label:
         doc["label"] = label
     return doc
+
+
+def validated_document(parsed: ParsedChannel, report: CptpReport) -> dict:
+    """The keys every analysis document has: input, affine form and CPTP report."""
+    affine = {"m": parsed.affine.m.tolist(), "c": parsed.affine.c.tolist()}
+    # reports render as vars(): their dataclass field order is the documents' key order
+    return {"input": parsed.doc, "affine": affine, "cptp": vars(report)}
+
+
+def solver_fields(result: QuasiInverseResult, qf: QForm) -> dict:
+    """The solver keys of an analysis document, in the order _SOLVER_SCHEMAS declares."""
+    special = {
+        "q_matrix": qf.q.tolist(),
+        "quasi_inverse": {"x": result.x.tolist(), "matrix": complex_matrix_to_json(result.unitary)},
+    }
+    return {key: special[key] if key in special else getattr(result, key) for key in _SOLVER_SCHEMAS}
+
+
+def report_document(parsed: ParsedChannel, key: str, report) -> dict:
+    """The input channel document and one report under key: an mstd or verification document."""
+    return {"input": parsed.doc, key: vars(report)}
 
 
 def dumps(obj, indent: int | None = None) -> str:

@@ -660,3 +660,85 @@ def test_cli_import_leaves_out_thread_pools():
     code = "import sys, quasinv.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.stdout.strip() == "False", proc.stderr
+
+
+TRANSPOSE = {"type": "affine", "m": [[1, 0, 0], [0, -1, 0], [0, 0, 1]], "c": [0, 0, 0]}
+
+
+class TestAnalysisDocumentKeys:
+    """An analysis document has exactly the keys RESULT_DOCUMENT_SCHEMA declares, in its order."""
+
+    @pytest.mark.parametrize(
+        "doc", [*FAMILY_DOCUMENTS, kraus_document(random_channel(RngStream(5), 3)), {"type": "pauli", "p": [1, 0, 0, 0]}]
+    )
+    def test_answer_has_every_property(self, capsys, monkeypatch, doc):
+        code, out, _ = analyze_text(capsys, monkeypatch, json.dumps(doc))
+        assert code == 0
+        assert list(json.loads(out)) == list(RESULT_DOCUMENT_SCHEMA["properties"])
+
+    def test_cptp_failure_has_the_required_keys(self, capsys, monkeypatch):
+        code, out, _ = analyze_text(capsys, monkeypatch, json.dumps(TRANSPOSE))
+        assert code == 3
+        assert list(json.loads(out)) == RESULT_DOCUMENT_SCHEMA["required"]
+
+
+COMMANDS = {
+    "analyze": ["analyze"],
+    "mstd": ["mstd"],
+    "verify": ["verify", "--samples", "10000"],
+}
+
+
+class TestNonUtf8File:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"type": "gad", "gamma": 0.3, "p": 0.2, "label": "\xff"}')
+        code = cli.main([*COMMANDS[command], str(path)])
+        captured = capsys.readouterr()
+        assert_parse_error(code, captured.out, captured.err)
+        assert "utf-8" in json.loads(captured.out)["error"]["message"]
+
+
+def nested_list(depth):
+    return "[" * depth + "]" * depth
+
+
+def run_text(capsys, monkeypatch, argv, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestDeepNesting:
+    """Input too deep to parse or to echo is a parse error, reported once."""
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize(
+        "command,channel,answered",
+        [
+            ("analyze", {"type": "gad", "gamma": 0.3, "p": 0.2}, 0),
+            ("analyze", TRANSPOSE, 3),
+            ("mstd", {"type": "gad", "gamma": 0.3, "p": 0.2}, 0),
+            ("verify", {"type": "gad", "gamma": 0.3, "p": 0.2}, 0),
+        ],
+    )
+    def test_echoed_field(self, capsys, monkeypatch, fmt, command, channel, answered):
+        # parses, but echoing 600 levels of input recurses past the default limit
+        # (on interpreters that render it, the full answer is the one document)
+        text = json.dumps(channel)[:-1] + ', "extra": ' + nested_list(600) + "}"
+        code, out, err = run_text(capsys, monkeypatch, [*COMMANDS[command], "-", "--format", fmt], text)
+        assert "Traceback" not in err
+        if code == 2:
+            assert_parse_error(code, out, err)
+            assert json.loads(out)["error"]["message"] == "document is nested too deeply"
+        else:
+            assert code == answered
+            assert out.count("extra") == 1
+
+    def test_unparseable_depth(self, capsys, monkeypatch):
+        text = '{"type": "gad", "gamma": 0.3, "p": 0.2, "extra": ' + nested_list(100_000) + "}"
+        code, out, err = run_text(capsys, monkeypatch, ["analyze", "-"], text)
+        assert_parse_error(code, out, err)
+        assert json.loads(out)["error"]["message"] == "document is nested too deeply"
