@@ -10,11 +10,12 @@ Choi matrix.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream, eig_herm4
+from .numerics import RngStream
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -169,29 +170,26 @@ def unitary_matrix(u: UnitaryParams) -> np.ndarray:
     return u.x0 * IDENTITY2 + 1j * (x[0] * SIGMA_X + x[1] * SIGMA_Y + x[2] * SIGMA_Z)
 
 
+def _rotation_entries(x0, x1, x2, x3):
+    """Bloch rotation of V = x0 I + i x.sigma, entry by entry in row-major order.
+
+    Takes floats or equal-shape arrays. Entries are yielded one at a time,
+    so a batch caller holds a single entry's temporaries at once.
+    """
+    yield 1.0 - 2.0 * (x2 * x2 + x3 * x3)
+    yield 2.0 * (x0 * x3 + x1 * x2)
+    yield -2.0 * (x0 * x2 - x1 * x3)
+    yield -2.0 * (x0 * x3 - x1 * x2)
+    yield 1.0 - 2.0 * (x1 * x1 + x3 * x3)
+    yield 2.0 * (x0 * x1 + x2 * x3)
+    yield 2.0 * (x0 * x2 + x1 * x3)
+    yield -2.0 * (x0 * x1 - x2 * x3)
+    yield 1.0 - 2.0 * (x1 * x1 + x2 * x2)
+
+
 def unitary_to_affine(u: UnitaryParams) -> AffineChannel:
     """Rotation matrix of the conjugation rho -> V rho V^dag on Bloch vectors."""
-    x0 = u.x0
-    x1, x2, x3 = u.xvec.tolist()
-    m = np.array(
-        [
-            [
-                1.0 - 2.0 * (x2 * x2 + x3 * x3),
-                2.0 * (x0 * x3 + x1 * x2),
-                -2.0 * (x0 * x2 - x1 * x3),
-            ],
-            [
-                -2.0 * (x0 * x3 - x1 * x2),
-                1.0 - 2.0 * (x1 * x1 + x3 * x3),
-                2.0 * (x0 * x1 + x2 * x3),
-            ],
-            [
-                2.0 * (x0 * x2 + x1 * x3),
-                -2.0 * (x0 * x1 - x2 * x3),
-                1.0 - 2.0 * (x1 * x1 + x2 * x2),
-            ],
-        ]
-    )
+    m = np.array(list(_rotation_entries(u.x0, *u.xvec.tolist()))).reshape(3, 3)
     return AffineChannel(m, np.zeros(3))
 
 
@@ -242,7 +240,8 @@ def validate_cptp(channel) -> CptpReport:
 
 def _cptp_report(affine: AffineChannel, residual: float | None) -> CptpReport:
     """CPTP report of an affine form; residual is the Kraus set's, or None for affine input."""
-    min_eig = float(eig_herm4(choi(affine))[-1])
+    # choi sums conjugate terms in one order for entries (x, y) and (y, x): exactly Hermitian
+    min_eig = float(np.linalg.eigvalsh(choi(affine))[0])
     return CptpReport(tp_exact=residual is None, tp_residual=residual, min_choi_eigenvalue=min_eig)
 
 
@@ -265,11 +264,11 @@ def random_channel(rng: RngStream, n_kraus: int) -> KrausChannel:
     Draws a (2*n_kraus) x 2 complex standard-normal matrix G, orthonormalizes
     its columns as K = G (G^dag G)^(-1/2), and slices K into stacked 2x2
     blocks; K^dag K = I makes the set trace preserving. n_kraus = 1 yields a
-    Haar-random unitary channel.
+    Haar-random unitary channel; an n_kraus that is not an integer raises TypeError.
     """
-    if not 1 <= int(n_kraus) <= 4:
+    n_kraus = operator.index(n_kraus)
+    if not 1 <= n_kraus <= 4:
         raise ValueError(f"n_kraus must be in 1..4, got {n_kraus}")
-    n_kraus = int(n_kraus)
     rows = 2 * n_kraus
     for _ in range(8):
         vals = rng.normals(2 * rows * 2)

@@ -121,7 +121,8 @@ def _read_document(path: str) -> ParsedChannel:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        text.encode("utf-8")  # stdin may carry undecodable bytes as lone surrogates
+    except (OSError, UnicodeError) as exc:
         raise DocumentError(f"cannot read {path!r}: {exc}") from exc
     try:
         obj = json.loads(text)
@@ -178,7 +179,7 @@ def cmd_mstd(args) -> int:
 
 def cmd_zoo(args) -> int:
     try:
-        kraus, _ = zoo.make(zoo.spec_from_values(args.family, args.params))
+        kraus = zoo.channel(zoo.spec_from_values(args.family, args.params))
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     label = args.label

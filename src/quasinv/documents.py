@@ -17,7 +17,7 @@ from .channels import AffineChannel, CptpReport, KrausChannel, kraus_to_affine
 from .inverter import QForm, QuasiInverseResult
 from .metrics import METHODS, MstdReport
 from .oracle import VerificationReport
-from .zoo import FAMILY_TABLE, Family, FamilySpec, make
+from .zoo import FAMILY_TABLE, Family, FamilySpec, channel
 
 _FAMILY_BY_TYPE = {family.doc_type: family for family in FAMILY_TABLE}
 CHANNEL_TYPES = ("kraus", "affine", *_FAMILY_BY_TYPE)
@@ -224,7 +224,7 @@ def parse_channel_document(obj) -> ParsedChannel:
             kraus = None
             affine = AffineChannel(m, c)
         else:
-            kraus, _ = make(_parse_family(_FAMILY_BY_TYPE[doc_type], obj))
+            kraus = channel(_parse_family(_FAMILY_BY_TYPE[doc_type], obj))
             affine = kraus_to_affine(kraus)
     except DocumentError:
         raise
@@ -234,7 +234,7 @@ def parse_channel_document(obj) -> ParsedChannel:
 
 
 def _parse_family(family: Family, obj: dict) -> FamilySpec:
-    """Family parameters of a document; make() checks that they are finite."""
+    """Family parameters of a document; zoo.channel checks that they are finite."""
     params = {}
     for name, components in family.params.items():
         value = _require(obj, name)

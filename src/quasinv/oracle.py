@@ -2,8 +2,10 @@
 
 Searches the unit 3-sphere of unitary parameters at random and evaluates
 the MSTD decrease through the composition route only (affine conjugation,
-compose, closed-form average). Nothing here touches the quadratic-form
-construction or the eigensolver, so agreement is meaningful evidence.
+compose, closed-form average). The Bloch rotation formula is the one
+``channels.unitary_to_affine`` uses; nothing here touches the
+quadratic-form construction or the eigensolver, so agreement is
+meaningful evidence.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import AffineChannel
+from .channels import AffineChannel, _rotation_entries
 from .inverter import QuasiInverseResult
 from .metrics import mstd_analytic
 from .numerics import RngStream, map_batches, sphere4_samples
@@ -42,17 +44,10 @@ class VerificationReport:
 
 def _rotation_batch(xs: np.ndarray) -> np.ndarray:
     """Bloch rotation matrices of V = x0 I + i x.sigma for rows (x0, x)."""
-    x0, x1, x2, x3 = xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3]
     m = np.empty((xs.shape[0], 3, 3))
-    m[:, 0, 0] = 1.0 - 2.0 * (x2 * x2 + x3 * x3)
-    m[:, 0, 1] = 2.0 * (x0 * x3 + x1 * x2)
-    m[:, 0, 2] = -2.0 * (x0 * x2 - x1 * x3)
-    m[:, 1, 0] = -2.0 * (x0 * x3 - x1 * x2)
-    m[:, 1, 1] = 1.0 - 2.0 * (x1 * x1 + x3 * x3)
-    m[:, 1, 2] = 2.0 * (x0 * x1 + x2 * x3)
-    m[:, 2, 0] = 2.0 * (x0 * x2 + x1 * x3)
-    m[:, 2, 1] = -2.0 * (x0 * x1 - x2 * x3)
-    m[:, 2, 2] = 1.0 - 2.0 * (x1 * x1 + x2 * x2)
+    flat = m.reshape(xs.shape[0], 9)
+    for k, entry in enumerate(_rotation_entries(*xs.T)):
+        flat[:, k] = entry
     return m
 
 

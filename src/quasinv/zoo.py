@@ -1,6 +1,6 @@
 """Parametric channel families with closed-form quasi-inverse expectations.
 
-Five families, each returned as a Kraus realization together with its
+Five families, each built as a Kraus realization together with its
 known optimum for golden testing:
 
 - pauli:          rho -> p0 rho + sum_i p_i s_i rho s_i
@@ -12,7 +12,9 @@ known optimum for golden testing:
 
 FAMILY_TABLE, at the end of the module, is the one place a family's
 parameters are defined; the document parser, the channel schema and the
-zoo command line are derived from it.
+zoo command line are derived from it. Each builder returns the Kraus
+operators and a deferred expectation: ``make`` evaluates it, ``channel``
+never does.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import numpy as np
 from .channels import IDENTITY2, PAULIS, KrausChannel, UnitaryParams, unitary_matrix
 
 _PARAM_TOL = 1e-9
+# what a family builder returns: the Kraus operators and a deferred expectation
+_Built = tuple[list, Callable[[], "GoldenExpectation"]]
 
 _TETRA_CORNERS = np.array(
     [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
@@ -83,10 +87,18 @@ def rotation_spec(theta: float, axis) -> FamilySpec:
 
 
 def make(spec: FamilySpec) -> tuple[KrausChannel, GoldenExpectation]:
-    """Kraus realization and golden expectation of a family point.
+    """Kraus realization and golden expectation of a family point; parameters must be finite."""
+    ops, expectation = _build(spec)
+    return KrausChannel(ops), expectation()
 
-    Every parameter must be finite; this is checked before the builder runs.
-    """
+
+def channel(spec: FamilySpec) -> KrausChannel:
+    """Kraus realization of a family point, without its expectation."""
+    return KrausChannel(_build(spec)[0])
+
+
+def _build(spec: FamilySpec) -> _Built:
+    """Run the family's builder once every parameter is checked to be finite."""
     family = _BY_NAME[spec.family]
     for name in family.params:
         if not np.isfinite(np.asarray(spec.parameters[name], dtype=float)).all():
@@ -112,7 +124,7 @@ def _diag_q(entries) -> np.ndarray:
     return np.diag(np.array([0.0, *entries], dtype=float))
 
 
-def _make_pauli(params: dict) -> tuple[KrausChannel, GoldenExpectation]:
+def _make_pauli(params: dict) -> _Built:
     p = np.asarray(params["p"], dtype=float)
     if p.shape != (4,):
         raise ValueError("pauli family needs probabilities [p0, p1, p2, p3]")
@@ -120,27 +132,27 @@ def _make_pauli(params: dict) -> tuple[KrausChannel, GoldenExpectation]:
         raise ValueError(f"pauli probabilities must be nonnegative and sum to 1, got {p}")
     p = np.clip(p, 0.0, None)
     ops = [np.sqrt(p[0]) * IDENTITY2] + [np.sqrt(p[i + 1]) * PAULIS[i] for i in range(3)]
-    channel = KrausChannel(ops)
 
-    i_max = int(np.argmax(p[1:]))
-    p_max = float(p[1:][i_max])
-    delta = 0.4 * max(p_max - p[0], 0.0)
-    if p_max - p[0] > 1e-12:
-        expected_v = PAULIS[i_max].copy()
-        ties = int(np.sum(p[1:] == p_max)) > 1
-    else:
-        expected_v = IDENTITY2.copy()
-        ties = False
-    expectation = GoldenExpectation(
-        expected_unitary=expected_v,
-        expected_delta=delta,
-        expected_q=_diag_q(p[1:] - p[0]),
-        degenerate=ties,
-    )
-    return channel, expectation
+    def expectation() -> GoldenExpectation:
+        i_max = int(np.argmax(p[1:]))
+        p_max = float(p[1:][i_max])
+        if p_max - p[0] > 1e-12:
+            expected_v = PAULIS[i_max].copy()
+            ties = int(np.sum(p[1:] == p_max)) > 1
+        else:
+            expected_v = IDENTITY2.copy()
+            ties = False
+        return GoldenExpectation(
+            expected_unitary=expected_v,
+            expected_delta=0.4 * max(p_max - p[0], 0.0),
+            expected_q=_diag_q(p[1:] - p[0]),
+            degenerate=ties,
+        )
+
+    return ops, expectation
 
 
-def _make_gad(params: dict) -> tuple[KrausChannel, GoldenExpectation]:
+def _make_gad(params: dict) -> _Built:
     gamma = float(params["gamma"])
     p = float(params["p"])
     if not -1.0 - _PARAM_TOL <= gamma <= 1.0 + _PARAM_TOL:
@@ -157,24 +169,18 @@ def _make_gad(params: dict) -> tuple[KrausChannel, GoldenExpectation]:
         sq * np.array([[gamma, 0.0], [0.0, 1.0]], dtype=complex),
         sq * np.array([[0.0, 0.0], [off, 0.0]], dtype=complex),
     ]
-    channel = KrausChannel(ops)
 
-    expected_v = PAULIS[2].copy() if gamma < 0.0 else IDENTITY2.copy()
-    expectation = GoldenExpectation(
-        expected_unitary=expected_v,
-        expected_delta=0.4 * max(-gamma, 0.0),
-        expected_q=_diag_q(
-            [
-                -0.5 * gamma * (gamma + 1.0),
-                -0.5 * gamma * (gamma + 1.0),
-                -gamma,
-            ]
-        ),
-    )
-    return channel, expectation
+    def expectation() -> GoldenExpectation:
+        return GoldenExpectation(
+            expected_unitary=PAULIS[2].copy() if gamma < 0.0 else IDENTITY2.copy(),
+            expected_delta=0.4 * max(-gamma, 0.0),
+            expected_q=_diag_q([-0.5 * gamma * (gamma + 1.0)] * 2 + [-gamma]),
+        )
+
+    return ops, expectation
 
 
-def _make_mixed_unitary(params: dict) -> tuple[KrausChannel, GoldenExpectation]:
+def _make_mixed_unitary(params: dict) -> _Built:
     p = float(params["p"])
     theta = float(params["theta"])
     if not -_PARAM_TOL <= p <= 1.0 / 3.0 + _PARAM_TOL:
@@ -185,14 +191,16 @@ def _make_mixed_unitary(params: dict) -> tuple[KrausChannel, GoldenExpectation]:
         np.sqrt(p) * (np.cos(half) * IDENTITY2 - 1j * np.sin(half) * PAULIS[i])
         for i in range(3)
     ]
-    channel = KrausChannel(ops)
 
-    v = p * np.sin(theta)
-    q = 4.0 * p * np.sin(half) ** 2 - 1.0
-    q_mat = np.zeros((4, 4))
-    q_mat[0, 1:] = q_mat[1:, 0] = 0.5 * v
-    q_mat[1:, 1:] = q * np.eye(3)
-    if q >= 0.0:
+    def expectation() -> GoldenExpectation:
+        v = p * np.sin(theta)
+        q = 4.0 * p * np.sin(half) ** 2 - 1.0
+        q_mat = np.zeros((4, 4))
+        q_mat[0, 1:] = q_mat[1:, 0] = 0.5 * v
+        q_mat[1:, 1:] = q * np.eye(3)
+        if q < 0.0:
+            # no closed form below q = 0; the brute-force oracle covers it
+            return GoldenExpectation(expected_unitary=None, expected_delta=None, expected_q=q_mat)
         lam = 0.5 * (q + np.sqrt(q * q + 3.0 * v * v))
         if lam <= 1e-12:
             expected_v = IDENTITY2.copy()
@@ -205,66 +213,60 @@ def _make_mixed_unitary(params: dict) -> tuple[KrausChannel, GoldenExpectation]:
             expected_v = unitary_matrix(UnitaryParams.from_vector(x))
             # v = 0 leaves a 3-fold top eigenspace; any axis works
             degenerate = bool(v == 0.0)
-        expectation = GoldenExpectation(
+        return GoldenExpectation(
             expected_unitary=expected_v,
             expected_delta=0.4 * lam,
             expected_q=q_mat,
             degenerate=degenerate,
         )
-    else:
-        # no closed form below q = 0; the brute-force oracle covers it
-        expectation = GoldenExpectation(
-            expected_unitary=None, expected_delta=None, expected_q=q_mat
-        )
-    return channel, expectation
+
+    return ops, expectation
 
 
-def _make_tetrahedron(params: dict) -> tuple[KrausChannel, GoldenExpectation]:
+def _make_tetrahedron(params: dict) -> _Built:
     p = float(params["p"])
     pp = float(params["p_prime"])
     if p < -_PARAM_TOL or pp < -_PARAM_TOL or p + pp > 0.5 + _PARAM_TOL:
-        raise ValueError(
-            f"tetrahedron weights need p, p' >= 0 and p + p' <= 1/2, got ({p}, {pp})"
-        )
-    p = max(p, 0.0)
-    pp = max(pp, 0.0)
+        raise ValueError(f"tetrahedron weights need p, p' >= 0 and p + p' <= 1/2, got ({p}, {pp})")
+    p, pp = max(p, 0.0), max(pp, 0.0)
     q0 = max(1.0 - 2.0 * p - 2.0 * pp, 0.0)
     weights = (pp, p, p, pp)
     ops = [np.sqrt(q0) * IDENTITY2]
     for w, corner in zip(weights, _TETRA_CORNERS):
         direction = corner[0] * PAULIS[0] + corner[1] * PAULIS[1] + corner[2] * PAULIS[2]
         ops.append(np.sqrt(w) * direction)
-    channel = KrausChannel(ops)
 
-    diag = 8.0 * (p + pp) / 3.0 - 1.0
-    cross = 2.0 * (pp - p) / 3.0
-    q_mat = np.zeros((4, 4))
-    q_mat[1:, 1:] = diag * np.eye(3)
-    q_mat[1, 2] = q_mat[2, 1] = cross
-    # top eigenvalue diag - cross at (0,1,-1,0)/sqrt2 when p >= p',
-    # diag + cross at (0,1,1,0)/sqrt2 when p <= p'
-    if p >= pp:
-        lam = 2.0 * pp - 1.0 + 10.0 * p / 3.0
-        x = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    else:
-        lam = 2.0 * p - 1.0 + 10.0 * pp / 3.0
-        x = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    if lam > 1e-12:
-        expected_v = unitary_matrix(UnitaryParams.from_vector(x))
-        degenerate = bool(p == pp)
-    else:
-        expected_v = IDENTITY2.copy()
-        degenerate = False
-    expectation = GoldenExpectation(
-        expected_unitary=expected_v,
-        expected_delta=0.4 * max(lam, 0.0),
-        expected_q=q_mat,
-        degenerate=degenerate,
-    )
-    return channel, expectation
+    def expectation() -> GoldenExpectation:
+        diag = 8.0 * (p + pp) / 3.0 - 1.0
+        cross = 2.0 * (pp - p) / 3.0
+        q_mat = np.zeros((4, 4))
+        q_mat[1:, 1:] = diag * np.eye(3)
+        q_mat[1, 2] = q_mat[2, 1] = cross
+        # top eigenvalue diag - cross at (0,1,-1,0)/sqrt2 when p >= p',
+        # diag + cross at (0,1,1,0)/sqrt2 when p <= p'
+        if p >= pp:
+            lam = 2.0 * pp - 1.0 + 10.0 * p / 3.0
+            x = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        else:
+            lam = 2.0 * p - 1.0 + 10.0 * pp / 3.0
+            x = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        if lam > 1e-12:
+            expected_v = unitary_matrix(UnitaryParams.from_vector(x))
+            degenerate = bool(p == pp)
+        else:
+            expected_v = IDENTITY2.copy()
+            degenerate = False
+        return GoldenExpectation(
+            expected_unitary=expected_v,
+            expected_delta=0.4 * max(lam, 0.0),
+            expected_q=q_mat,
+            degenerate=degenerate,
+        )
+
+    return ops, expectation
 
 
-def _make_rotation(params: dict) -> tuple[KrausChannel, GoldenExpectation]:
+def _make_rotation(params: dict) -> _Built:
     theta = float(params["theta"])
     axis = np.asarray(params["axis"], dtype=float)
     if axis.shape != (3,):
@@ -278,19 +280,20 @@ def _make_rotation(params: dict) -> tuple[KrausChannel, GoldenExpectation]:
     u = np.cos(half) * IDENTITY2 - 1j * np.sin(half) * (
         axis[0] * PAULIS[0] + axis[1] * PAULIS[1] + axis[2] * PAULIS[2]
     )
-    channel = KrausChannel([u])
 
-    s = np.sin(half)
-    eps = 0.5 * axis * np.sin(theta)
-    q_mat = np.zeros((4, 4))
-    q_mat[0, 1:] = q_mat[1:, 0] = eps
-    q_mat[1:, 1:] = (s * s) * np.outer(axis, axis) + (s * s - 1.0) * np.eye(3)
-    expectation = GoldenExpectation(
-        expected_unitary=u.conj().T,
-        expected_delta=0.4 * s * s,
-        expected_q=q_mat,
-    )
-    return channel, expectation
+    def expectation() -> GoldenExpectation:
+        s = np.sin(half)
+        eps = 0.5 * axis * np.sin(theta)
+        q_mat = np.zeros((4, 4))
+        q_mat[0, 1:] = q_mat[1:, 0] = eps
+        q_mat[1:, 1:] = (s * s) * np.outer(axis, axis) + (s * s - 1.0) * np.eye(3)
+        return GoldenExpectation(
+            expected_unitary=u.conj().T,
+            expected_delta=0.4 * s * s,
+            expected_q=q_mat,
+        )
+
+    return [u], expectation
 
 
 @dataclass(frozen=True)
@@ -305,7 +308,7 @@ class Family:
     name: str
     doc_type: str
     params: dict
-    build: Callable[[dict], tuple[KrausChannel, GoldenExpectation]]
+    build: Callable[[dict], _Built]
 
     @property
     def arg_names(self) -> list:

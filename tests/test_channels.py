@@ -10,6 +10,7 @@ from quasinv.channels import (
     CptpReport,
     KrausChannel,
     UnitaryParams,
+    _cptp_report,
     apply,
     check_bloch,
     choi,
@@ -470,3 +471,46 @@ class TestTpTolerance:
     def test_report_uses_the_kraus_tolerance(self):
         assert CptpReport(False, 5e-10, 0.0).passed is False
         assert CptpReport(False, 1e-10, 0.0).passed is True
+
+
+def cptp_check_maps():
+    """Zoo points, 1,000 random channels with 1-4 operators, and affine maps that fail the CP check."""
+    maps = [kraus_to_affine(make(spec)[0]) for spec in ZOO_POINTS]
+    rng = RngStream(1717)
+    maps += [kraus_to_affine(random_channel(rng, 1 + i % 4)) for i in range(1000)]
+    maps += [
+        AffineChannel(np.diag([1.0, -1.0, 1.0]), np.zeros(3)),  # the transpose map
+        AffineChannel(np.eye(3), np.array([0.5, 0.0, 0.0])),
+        AffineChannel(np.diag([0.9, 0.9, -0.9]), np.array([0.0, 0.1, 0.0])),
+    ]
+    for _ in range(200):
+        m = rng.normals(9).reshape(3, 3)
+        c = ball_samples(rng, 1)[0]
+        maps.append(AffineChannel(m / np.linalg.norm(m, 2), c))
+    return maps
+
+
+class TestCptpReportEigenvalue:
+    """_cptp_report hands the Choi matrix to LAPACK without eig_herm4's check and symmetrization."""
+
+    def test_choi_is_exactly_hermitian_and_the_eigenvalue_unchanged(self):
+        failed = 0
+        for a in cptp_check_maps():
+            h = choi(a)
+            assert np.array_equal(h, h.conj().T)
+            report = _cptp_report(a, None)
+            assert report.min_choi_eigenvalue.hex() == float(eig_herm4(h)[-1]).hex()
+            failed += not report.passed
+        assert failed > 3
+
+
+class TestRandomChannelCount:
+    @pytest.mark.parametrize("n_kraus", [2.7, 2.0, "3", None])
+    def test_non_integer_raises_type_error(self, n_kraus):
+        with pytest.raises(TypeError):
+            random_channel(RngStream(1), n_kraus)
+
+    def test_numpy_integer_is_an_integer(self):
+        k = random_channel(RngStream(1), np.int64(3))
+        assert k.operators.shape == (3, 2, 2)
+        assert np.array_equal(k.operators, random_channel(RngStream(1), 3).operators)

@@ -700,6 +700,78 @@ class TestNonUtf8File:
         assert "utf-8" in json.loads(captured.out)["error"]["message"]
 
 
+NON_UTF8_DOCUMENT = b'{"type": "gad", "gamma": 0.3, "p": 0.2, "label": "\xff"}'
+
+
+class TestNonUtf8Stdin:
+    """Stdin follows the file rule: text that is not UTF-8 is a parse error."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_2(self, command):
+        # UTF-8 mode reads stdin with surrogateescape, so 0xff arrives as a lone surrogate
+        env = dict(os.environ, PYTHONPATH=str(Path(quasinv.__file__).resolve().parents[1]), PYTHONUTF8="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "quasinv.cli", *COMMANDS[command], "-"],
+            input=NON_UTF8_DOCUMENT, capture_output=True, env=env, timeout=60,
+        )
+        assert_parse_error(proc.returncode, proc.stdout, proc.stderr.decode())
+        assert "cannot read '-'" in json.loads(proc.stdout)["error"]["message"]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_lone_surrogate_exits_2(self, capsys, monkeypatch, command):
+        text = NON_UTF8_DOCUMENT.decode("utf-8", "surrogateescape")
+        code, out, err = run_text(capsys, monkeypatch, [*COMMANDS[command], "-"], text)
+        assert_parse_error(code, out, err)
+        assert "cannot read '-'" in json.loads(out)["error"]["message"]
+
+
+ZOO_ARGUMENTS = {
+    "pauli": ["0.1", "0.6", "0.2", "0.1"],
+    "gad": ["-0.5", "0.2"],
+    "mixed_unitary": ["0.3", "2.8"],
+    "tetrahedron": ["0.25", "0.25"],
+    "rotation": ["1.2", "0", "0.6", "0.8"],
+}
+
+
+class TestNoDiscardedExpectation:
+    """Family documents and quasinv zoo build the channel only; zoo.make still builds both."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return quasinv.GoldenExpectation(*args, **kwargs)
+
+        monkeypatch.setattr(quasinv.zoo, "GoldenExpectation", counting)
+        return built
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("doc", FAMILY_DOCUMENTS, ids=lambda doc: doc["type"])
+    def test_commands_build_none(self, capsys, monkeypatch, built, command, doc):
+        code, _, err = run_text(capsys, monkeypatch, [*COMMANDS[command], "-"], json.dumps(doc))
+        assert code == 0, err
+        assert built == []
+
+    @pytest.mark.parametrize("family", sorted(ZOO_ARGUMENTS))
+    def test_zoo_builds_none(self, capsys, built, family):
+        code, _ = run_cli(capsys, "zoo", family, "--", *ZOO_ARGUMENTS[family])
+        assert code == 0
+        assert built == []
+
+    def test_arguments_cover_every_family(self):
+        assert set(ZOO_ARGUMENTS) == set(quasinv.zoo.FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(ZOO_ARGUMENTS))
+    def test_make_builds_one(self, built, family):
+        spec = quasinv.zoo.spec_from_values(family, [float(x) for x in ZOO_ARGUMENTS[family]])
+        _, gold = quasinv.zoo.make(spec)
+        assert len(built) == 1
+        assert isinstance(gold, quasinv.GoldenExpectation)
+
+
 def nested_list(depth):
     return "[" * depth + "]" * depth
 

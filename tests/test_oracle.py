@@ -8,6 +8,7 @@ from quasinv.channels import (
     identity_channel,
     kraus_to_affine,
     random_channel,
+    unitary_to_affine,
 )
 from quasinv.inverter import delta_mstd_direct, quasi_inverse
 from quasinv.numerics import RngStream, sphere4_samples
@@ -115,3 +116,13 @@ def test_sampled_values_match_direct_route():
     batch = _delta_batch(e, xs, mstd_analytic(e).value)
     for x, d in zip(xs, batch):
         assert d == pytest.approx(delta_mstd_direct(e, UnitaryParams.from_vector(x)), abs=1e-14)
+
+
+def test_batched_rotations_equal_unitary_to_affine():
+    # one formula serves both routes: the batch must match the scalar route bit for bit
+    from quasinv.oracle import _CANONICAL, _rotation_batch
+
+    xs = np.concatenate([_CANONICAL, sphere4_samples(RngStream(65537), 65_537)])
+    batch = _rotation_batch(xs)
+    scalar = np.stack([unitary_to_affine(UnitaryParams.from_vector(x)).m for x in xs])
+    assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
