@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import documents, oracle, zoo
@@ -168,7 +169,9 @@ def cmd_mstd(args) -> int:
         return EXIT_CPTP
     if args.monte_carlo is not None:
         region = "surface" if args.surface else "ball"
-        mstd = mstd_monte_carlo(parsed.affine, args.monte_carlo, RngStream(args.seed), region)
+        mstd = mstd_monte_carlo(
+            parsed.affine, args.monte_carlo, RngStream(args.seed), region, workers=_cpus()
+        )
     elif args.surface:
         mstd = mstd_surface_analytic(parsed.affine)
     else:
@@ -218,9 +221,20 @@ def cmd_verify(args) -> int:
         args.samples,
         RngStream(args.seed),
         channel_id=parsed.label,
+        workers=_cpus(),
     )
     _print_doc(documents.report_document(parsed, "verification", verification), args.format)
     return EXIT_OK if verification.passed else EXIT_VERIFY
+
+
+def _cpus() -> int:
+    """Worker threads for the sampling commands: every CPU this process may run on.
+
+    The output does not depend on this count, only the wall time does.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _print_doc(doc: dict, fmt: str) -> None:

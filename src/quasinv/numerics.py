@@ -22,6 +22,8 @@ results either way.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -195,8 +197,16 @@ def map_batches(rng: RngStream, n: int, batch: int, fn, workers: int = 1) -> lis
 
     Batch k draws from ``substream(base, k)``, where base is one word of
     ``rng``, so the results depend on (rng, n, batch) and not on the number
-    of worker threads.
+    of worker threads. ``workers`` is an integer >= 1 (a bool is refused);
+    the pool has no more threads than there are batches, and with one
+    thread the batches run serially without a pool. Results come back in
+    batch order either way.
     """
+    if isinstance(workers, bool) or not hasattr(type(workers), "__index__"):
+        raise TypeError(f"workers must be an integer, got {workers!r}")
+    workers = operator.index(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     base = rng.u64()
     sizes = [batch] * (n // batch)
     if n % batch:
@@ -205,10 +215,11 @@ def map_batches(rng: RngStream, n: int, batch: int, fn, workers: int = 1) -> lis
     def run(k: int):
         return fn(substream(base, k), sizes[k])
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # not loaded on the CLI's one-worker path
+    threads = min(workers, len(sizes))
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded on a one-thread path
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, range(len(sizes))))
     return [run(k) for k in range(len(sizes))]
 

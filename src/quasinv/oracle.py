@@ -21,6 +21,9 @@ from .numerics import RngStream, map_batches, sphere4_samples
 
 BRUTE_FORCE_MIN_SAMPLES = 10_000
 _BATCH = 65536
+# rows of a batch drawn and evaluated at a time, so a batch's (n, 3, 3)
+# stacks stay under 1 MB
+_CHUNK = 4096
 
 VIOLATION_TOL = 1e-9
 _NEARNESS_REL = 0.01
@@ -69,7 +72,9 @@ def brute_force_best(
     """Best (x, delta) over n random unit 4-vectors plus the 8 axis candidates.
 
     Samples come from substreams derived from one draw of ``rng`` in fixed
-    batches, so the result is independent of the worker count.
+    batches, so the result is independent of the worker count. Each batch
+    is drawn and evaluated in chunks of ``_CHUNK`` rows; the first maximum
+    wins, as in one argmax over all samples.
     """
     n = int(n)
     if n < BRUTE_FORCE_MIN_SAMPLES:
@@ -81,16 +86,22 @@ def brute_force_best(
     best_x = _CANONICAL[k_best].copy()
     best_delta = float(deltas[k_best])
 
-    def run_batch(stream: RngStream, size: int) -> tuple[float, np.ndarray]:
-        xs = sphere4_samples(stream, size)
-        d = _delta_batch(e, xs, base_value)
-        j = int(np.argmax(d))
-        return float(d[j]), xs[j].copy()  # a view would keep the whole batch alive
+    def run_batch(stream: RngStream, size: int) -> list[tuple[float, np.ndarray]]:
+        # the stream yields the same words chunk by chunk as in one draw, and
+        # each row's delta depends on that row alone
+        bests = []
+        for start in range(0, size, _CHUNK):
+            xs = sphere4_samples(stream, min(_CHUNK, size - start))
+            d = _delta_batch(e, xs, base_value)
+            j = int(np.argmax(d))
+            bests.append((float(d[j]), xs[j].copy()))  # a view would keep the chunk alive
+        return bests
 
-    for d, x in map_batches(rng, n, _BATCH, run_batch, workers):
-        if d > best_delta:
-            best_delta = d
-            best_x = x
+    for bests in map_batches(rng, n, _BATCH, run_batch, workers):
+        for d, x in bests:
+            if d > best_delta:
+                best_delta = d
+                best_x = x
     return best_x, best_delta
 
 

@@ -19,6 +19,7 @@ never does.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -98,12 +99,40 @@ def channel(spec: FamilySpec) -> KrausChannel:
 
 
 def _build(spec: FamilySpec) -> _Built:
-    """Run the family's builder once every parameter is checked to be finite."""
+    """Run the family's builder once every parameter is checked.
+
+    As for a document, every parameter must first be present and be a real
+    number (not a string or a bool), or a list of as many real numbers as
+    it has components; then every one must be finite. A ValueError names
+    the first parameter that fails.
+    """
     family = _BY_NAME[spec.family]
-    for name in family.params:
-        if not np.isfinite(np.asarray(spec.parameters[name], dtype=float)).all():
+    checked = {
+        name: _real_values(spec.parameters, name, components)
+        for name, components in family.params.items()
+    }
+    for name, values in checked.items():
+        if not np.isfinite(values).all():
             raise ValueError(f"parameter {name!r} must be a finite number")
     return family.build(spec.parameters)
+
+
+def _real_values(parameters: dict, name: str, components: tuple) -> np.ndarray:
+    """The numbers of one parameter as a float array, refusing anything but real numbers."""
+    if name not in parameters:
+        raise ValueError(f"parameter {name!r} is missing")
+    value = parameters[name]
+    if not components:
+        values = [value]
+    elif isinstance(value, (list, tuple, np.ndarray)) and len(value) == len(components):
+        values = list(value)
+    else:
+        rendered = ", ".join(components)
+        raise ValueError(f"parameter {name!r} needs {len(components)} components [{rendered}]")
+    for v in values:
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
+            raise ValueError(f"parameter {name!r} must be a real number, got {v!r}")
+    return np.asarray(values, dtype=float)
 
 
 def spec_from_values(name: str, values) -> FamilySpec:
@@ -126,8 +155,6 @@ def _diag_q(entries) -> np.ndarray:
 
 def _make_pauli(params: dict) -> _Built:
     p = np.asarray(params["p"], dtype=float)
-    if p.shape != (4,):
-        raise ValueError("pauli family needs probabilities [p0, p1, p2, p3]")
     if np.any(p < -_PARAM_TOL) or abs(p.sum() - 1.0) > _PARAM_TOL:
         raise ValueError(f"pauli probabilities must be nonnegative and sum to 1, got {p}")
     p = np.clip(p, 0.0, None)
@@ -269,8 +296,6 @@ def _make_tetrahedron(params: dict) -> _Built:
 def _make_rotation(params: dict) -> _Built:
     theta = float(params["theta"])
     axis = np.asarray(params["axis"], dtype=float)
-    if axis.shape != (3,):
-        raise ValueError("rotation axis must be a 3-vector")
     with np.errstate(over="ignore"):  # an overflowing norm is inf and fails the bound
         norm = float(np.linalg.norm(axis))
     if not abs(norm - 1.0) <= 1e-6:

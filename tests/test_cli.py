@@ -662,6 +662,56 @@ def test_cli_import_leaves_out_thread_pools():
     assert proc.stdout.strip() == "False", proc.stderr
 
 
+class TestMonteCarloAndVerifyWorkers:
+    """The sampling commands run on every allowed CPU; their output does not depend on the count."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mstd", "--monte-carlo", "65537"],  # batches of 32,768, the last of one sample
+            ["mstd", "--monte-carlo", "65537", "--surface"],
+            ["verify", "--samples", "65537"],  # batches of 65,536, the last of one sample
+        ],
+        ids=["ball", "surface", "verify"],
+    )
+    def test_output_independent_of_cpu_count(self, capsys, tmp_path, monkeypatch, argv):
+        path = write_doc(tmp_path, kraus_document(random_channel(RngStream(12), 3)))
+        outputs = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+            code = cli.main([argv[0], path, *argv[1:], "--seed", "5"])
+            captured = capsys.readouterr()
+            outputs.add((code, captured.out, captured.err))
+        assert len(outputs) == 1
+        assert outputs.pop()[0] == 0
+
+    def test_commands_pass_the_cpu_count(self, capsys, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(real):
+            def call(*args, workers=1, **kwargs):
+                seen.append(workers)
+                return real(*args, workers=workers, **kwargs)
+            return call
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "mstd_monte_carlo", spy(cli.mstd_monte_carlo))
+        monkeypatch.setattr(cli.oracle, "verify", spy(cli.oracle.verify))
+        path = write_doc(tmp_path, {"type": "gad", "gamma": -0.4, "p": 0.3})
+        assert run_cli(capsys, "mstd", path, "--monte-carlo", "1000")[0] == 0
+        assert run_cli(capsys, "verify", path, "--samples", "10000")[0] == 0
+        assert seen == [3, 3]
+
+    def test_cpu_count_is_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert cli._cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert cli._cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._cpus() == 1
+
+
 TRANSPOSE = {"type": "affine", "m": [[1, 0, 0], [0, -1, 0], [0, 0, 1]], "c": [0, 0, 0]}
 
 

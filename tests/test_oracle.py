@@ -126,3 +126,49 @@ def test_batched_rotations_equal_unitary_to_affine():
     batch = _rotation_batch(xs)
     scalar = np.stack([unitary_to_affine(UnitaryParams.from_vector(x)).m for x in xs])
     assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
+
+
+def whole_batch_search(e, n, seed):
+    """brute_force_best written with one draw and one argmax per 65,536-row batch."""
+    from quasinv.metrics import mstd_analytic
+    from quasinv.numerics import substream
+    from quasinv.oracle import _CANONICAL, _delta_batch
+
+    base_value = mstd_analytic(e).value
+    deltas = _delta_batch(e, _CANONICAL, base_value)
+    k = int(np.argmax(deltas))
+    best_x, best_delta = _CANONICAL[k], float(deltas[k])
+    base = RngStream(seed).u64()
+    for k, start in enumerate(range(0, n, 65_536)):
+        xs = sphere4_samples(substream(base, k), min(65_536, n - start))
+        d = _delta_batch(e, xs, base_value)
+        j = int(np.argmax(d))
+        if d[j] > best_delta:
+            best_x, best_delta = xs[j], float(d[j])
+    return best_x, best_delta
+
+
+class TestChunkedSearch:
+    @pytest.mark.parametrize("n", [10_000, 65_536, 65_537, 200_001])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_whole_batch_reference(self, n, workers):
+        for i in range(3):
+            e = kraus_to_affine(random_channel(RngStream(707 + i), 1 + i))
+            x, d = brute_force_best(e, n, RngStream(30 + i), workers=workers)
+            ref_x, ref_d = whole_batch_search(e, n, 30 + i)
+            assert x.tobytes() == ref_x.tobytes()
+            assert np.float64(d).tobytes() == np.float64(ref_d).tobytes()
+
+    @pytest.mark.parametrize("n,workers,limit_mb", [(65_536, 1, 2.0), (4 * 65_536, 2, 4.0)])
+    def test_traced_peak(self, n, workers, limit_mb):
+        import tracemalloc
+
+        e = kraus_to_affine(random_channel(RngStream(710), 3))
+        brute_force_best(e, 10_000, RngStream(0))  # first-call allocations are not the batch's
+        tracemalloc.start()
+        try:
+            brute_force_best(e, n, RngStream(11), workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6

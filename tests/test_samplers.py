@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 from quasinv import kraus_to_affine, make, mstd_monte_carlo
-from quasinv.numerics import RngStream, ball_samples, sphere4_samples, sphere_samples, substream
+from quasinv.numerics import (
+    RngStream,
+    ball_samples,
+    map_batches,
+    sphere4_samples,
+    sphere_samples,
+    substream,
+)
+from quasinv.oracle import brute_force_best
 from quasinv.zoo import gad_spec
 
 MASK = 2**64 - 1
@@ -148,3 +156,45 @@ class TestSamplerGolden:
         report = mstd_monte_carlo(e, 2 * 32768 + 1, RngStream(21), region, workers=workers)
         assert report.n_samples == 2 * 32768 + 1
         assert hashlib.sha256(struct.pack("<dd", report.value, report.stderr)).hexdigest() == digest
+
+
+class TestWorkerArgument:
+    GAD = kraus_to_affine(make(gad_spec(0.3, 0.2))[0])
+
+    @pytest.mark.parametrize(
+        "workers,error", [(0, ValueError), (-3, ValueError), (2.5, TypeError), (True, TypeError)]
+    )
+    def test_refused(self, workers, error):
+        with pytest.raises(error, match="workers"):
+            mstd_monte_carlo(self.GAD, 1000, RngStream(1), workers=workers)
+        with pytest.raises(error, match="workers"):
+            brute_force_best(self.GAD, 10_000, RngStream(1), workers=workers)
+
+    def test_numpy_integer_accepted(self):
+        one = mstd_monte_carlo(self.GAD, 40_000, RngStream(2), workers=1)
+        two = mstd_monte_carlo(self.GAD, 40_000, RngStream(2), workers=np.int64(2))
+        assert (one.value, one.stderr) == (two.value, two.stderr)
+
+
+class TestPoolSize:
+    """map_batches starts no more threads than there are batches, and no pool for one."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        return sizes
+
+    @pytest.mark.parametrize("n,workers,pool", [(5, 8, []), (15, 1, []), (15, 2, [2]), (15, 8, [3])])
+    def test_capped_at_the_batch_count(self, pools, n, workers, pool):
+        out = map_batches(RngStream(3), n, 5, lambda stream, size: (stream.u64(), size), workers)
+        assert out == map_batches(RngStream(3), n, 5, lambda stream, size: (stream.u64(), size))
+        assert pools == pool

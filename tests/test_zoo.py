@@ -16,6 +16,7 @@ from quasinv.zoo import (
     FAMILY_TABLE,
     FamilySpec,
     GoldenExpectation,
+    channel,
     gad_spec,
     make,
     mixed_unitary_spec,
@@ -286,3 +287,51 @@ class TestFiniteParameters:
         values[slot] = bad
         with pytest.raises(ValueError, match=f"parameter '{owner}' must be a finite number"):
             make(spec_from_values(family, values))
+
+
+class TestHandBuiltSpec:
+    """make and channel check a FamilySpec built by hand as documents check theirs."""
+
+    @pytest.mark.parametrize(
+        "spec,owner,message",
+        [
+            (FamilySpec("pauli", {}), "p", "is missing"),
+            (FamilySpec("gad", {"gamma": 0.1}), "p", "is missing"),
+            (FamilySpec("rotation", {"axis": [0.0, 0.0, 1.0]}), "theta", "is missing"),
+            (FamilySpec("rotation", {"theta": 1.0, "axis": [0, 0, "1"]}), "axis", "must be a real number"),
+            (FamilySpec("gad", {"gamma": "0.1", "p": 0.2}), "gamma", "must be a real number"),
+            (FamilySpec("mixed_unitary", {"p": True, "theta": 1.0}), "p", "must be a real number"),
+            (FamilySpec("pauli", {"p": [1.0, False, 0.0, 0.0]}), "p", "must be a real number"),
+            (FamilySpec("tetrahedron", {"p": 0.1, "p_prime": None}), "p_prime", "must be a real number"),
+            (FamilySpec("gad", {"gamma": 0.1, "p": 0.2 + 0j}), "p", "must be a real number"),
+            (FamilySpec("pauli", {"p": [0.5, 0.5, 0.0]}), "p", "needs 4 components"),
+            (FamilySpec("pauli", {"p": 1.0}), "p", "needs 4 components"),
+            (FamilySpec("rotation", {"theta": 1.0, "axis": "xyz"}), "axis", "needs 3 components"),
+            (FamilySpec("rotation", {"theta": 1.0, "axis": [[0.0, 0.0, 1.0]]}), "axis", "needs 3 components"),
+            (FamilySpec("rotation", {"theta": 1.0, "axis": np.eye(3)}), "axis", "must be a real number"),
+        ],
+    )
+    @pytest.mark.parametrize("build", [make, channel])
+    def test_refused_naming_the_parameter(self, build, spec, owner, message):
+        with pytest.raises(ValueError, match=f"parameter '{owner}' {message}"):
+            build(spec)
+
+    @pytest.mark.parametrize("theta,axis", [(float("nan"), [0, 0, "1"]), (1.0, [float("inf"), 0, "1"])])
+    def test_every_type_checked_before_finiteness(self, theta, axis):
+        # as documents: a non-number anywhere is reported before a non-finite number
+        spec = FamilySpec("rotation", {"theta": theta, "axis": axis})
+        with pytest.raises(ValueError, match="parameter 'axis' must be a real number"):
+            make(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec("pauli", {"p": (0.4, 0.3, 0.2, 0.1)}),
+            FamilySpec("pauli", {"p": np.array([0.4, 0.3, 0.2, 0.1])}),
+            FamilySpec("gad", {"gamma": np.float64(-0.5), "p": 1}),
+            FamilySpec("rotation", {"theta": np.int64(1), "axis": [0, 0, 1]}),
+            rotation_spec(1.0, [0.0, 0.6, 0.8]),
+        ],
+    )
+    def test_real_numbers_of_any_type_accepted(self, spec):
+        assert channel(spec).operators.shape[1:] == (2, 2)
