@@ -98,20 +98,32 @@ class AffineChannel:
         c = np.asarray(self.c, dtype=float)
         if m.shape != (3, 3) or c.shape != (3,):
             raise ValueError(f"need m (3,3) and c (3,), got {m.shape} and {c.shape}")
-        if not (np.isfinite(m).all() and np.isfinite(c).all()):
+        rows, (c0, c1, c2) = m.tolist(), c.tolist()
+        if not all(map(math.isfinite, [*rows[0], *rows[1], *rows[2], c0, c1, c2])):
             raise ValueError("affine data has non-finite entries")
-        with np.errstate(all="ignore"):  # entries beyond ~1e154 overflow to inf or nan
-            cnorm = math.sqrt(c @ c)
-            gram = m.T @ m
-        if not (cnorm <= 1.0 + BLOCH_TOL):
-            raise ValueError(f"translation vector outside the ball: |c| = {cnorm}")
-        # the trace of m^T m is inf or nan once its entries overflow
-        top = np.linalg.eigvalsh(gram)[-1] if math.isfinite(gram.trace()) else math.inf
-        smax = math.sqrt(max(top, 0.0))
-        if not (smax <= 1.0 + CPTP_TOL):
-            raise ValueError(f"largest singular value of m is {smax} > 1")
+        # Python-float bounds (|c|^2, Gershgorin's row sums of m^T m) accept what is clearly inside
+        # both limits (then smax <= 1 + 5e-10); numpy's expressions decide and report the rest.
+        if not (c0 * c0 + c1 * c1 + c2 * c2 <= 1.0 + BLOCH_TOL and _gram_rows_within(rows, 1.0 + CPTP_TOL)):
+            with np.errstate(all="ignore"):  # entries beyond ~1e154 overflow to inf or nan
+                cnorm = math.sqrt(c @ c)
+                if not (cnorm <= 1.0 + BLOCH_TOL):
+                    raise ValueError(f"translation vector outside the ball: |c| = {cnorm}")
+                gram = m.T @ m
+                # the trace of m^T m is inf or nan once its entries or their sum overflow
+                top = np.linalg.eigvalsh(gram)[-1] if math.isfinite(gram.trace()) else math.inf
+            smax = math.sqrt(max(top, 0.0))
+            if not (smax <= 1.0 + CPTP_TOL):
+                raise ValueError(f"largest singular value of m is {smax} > 1")
         self.m = m
         self.c = c
+
+
+def _gram_rows_within(rows, bound: float) -> bool:
+    """Whether each row sum of |m^T m|, and so (Gershgorin) its top eigenvalue, is <= bound."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    ab, ac, bc = abs(a * b + d * e + g * h), abs(a * c + d * f + g * i), abs(b * c + e * f + h * i)
+    return (a * a + d * d + g * g + ab + ac <= bound and b * b + e * e + h * h + ab + bc <= bound
+            and c * c + f * f + i * i + ac + bc <= bound)
 
 
 def identity_channel() -> AffineChannel:
@@ -187,10 +199,14 @@ def _rotation_entries(x0, x1, x2, x3):
     yield 1.0 - 2.0 * (x1 * x1 + x2 * x2)
 
 
-def unitary_to_affine(u: UnitaryParams) -> AffineChannel:
+def rotation_matrix(u: UnitaryParams) -> np.ndarray:
     """Rotation matrix of the conjugation rho -> V rho V^dag on Bloch vectors."""
-    m = np.array(list(_rotation_entries(u.x0, *u.xvec.tolist()))).reshape(3, 3)
-    return AffineChannel(m, np.zeros(3))
+    return np.array(list(_rotation_entries(u.x0, *u.xvec.tolist()))).reshape(3, 3)
+
+
+def unitary_to_affine(u: UnitaryParams) -> AffineChannel:
+    """The conjugation rho -> V rho V^dag as a checked affine channel."""
+    return AffineChannel(rotation_matrix(u), np.zeros(3))
 
 
 def choi(e: AffineChannel) -> np.ndarray:

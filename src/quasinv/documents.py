@@ -188,11 +188,15 @@ def _as_float(value, name: str) -> float:
 
 
 def _as_array(raw, shape: tuple, message: str) -> np.ndarray:
-    """Nested lists of JSON numbers (no strings, bools or nulls) as a float array."""
-    arr = np.array(raw, dtype=object)
-    if arr.shape != shape or not all(map(_is_number, arr.flat)):
+    """Nested lists or tuples of numbers (not bools) as a float array; a huge int raises OverflowError."""
+    items = [raw]
+    for n in shape:
+        if not all(isinstance(x, (list, tuple)) and len(x) == n for x in items):
+            raise DocumentError(message)
+        items = [y for x in items for y in x]
+    if not all(map(_is_number, items)):
         raise DocumentError(message)
-    return arr.astype(float)
+    return np.array(items, dtype=float).reshape(shape)
 
 
 def parse_channel_document(obj) -> ParsedChannel:
@@ -297,7 +301,10 @@ def _render(obj, indent: int | None, level: int) -> str:
     if kind is list or (kind is not dict and isinstance(obj, (list, tuple))):
         if not obj:
             return "[]"
-        return "[" + ", ".join([_render(value, indent, level + 1) for value in obj]) + "]"
+        # finite floats inline (x - x is nan for inf and nan), anything else by recursion
+        items = [(f"{x:.17g}" if x else "0") if type(x) is float and x - x == 0.0
+                 else _render(x, indent, level + 1) for x in obj]
+        return "[" + ", ".join(items) + "]"
     if kind is dict or isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -21,11 +21,12 @@ import numpy as np
 from .channels import (
     AffineChannel,
     UnitaryParams,
+    rotation_matrix,
     unitary_matrix,
     unitary_to_affine,
     validate_cptp,
 )
-from .metrics import mstd_analytic, mstd_composed
+from .metrics import _closed_form, mstd_analytic, mstd_composed
 from .numerics import eig_sym4, eigh_desc
 
 TRIVIAL_TOL = 1e-12
@@ -70,20 +71,20 @@ def build_q(e: AffineChannel, region: str = "ball") -> QForm:
     With region="surface" the averaging moments change and the form is the
     ball form scaled by 5/3; the maximizer is unchanged.
     """
-    m = e.m
-    sym = 0.5 * (m + m.T)
-    axial = np.array(
-        [m[1, 2] - m[2, 1], m[2, 0] - m[0, 2], m[0, 1] - m[1, 0]]
-    )
-    q = np.zeros((4, 4))
-    q[0, 1:] = -0.25 * axial
-    q[1:, 0] = -0.25 * axial
-    q[1:, 1:] = 0.5 * (sym - np.trace(m) * np.eye(3))
-    if region == "surface":
-        q *= _SURFACE_SCALE
-    elif region != "ball":
+    if region not in ("ball", "surface"):
         raise ValueError(f"region must be 'ball' or 'surface', got {region!r}")
-    return QForm(q)
+    # 0.5 * (sym(m) - Tr(m) I) in Python floats, in numpy's order down to signed zeros: np.trace
+    # sums ((0 + m00) + m11) + m22, and Tr(m) * 0 is subtracted off the diagonal
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = e.m.tolist()
+    t = 0.0 + m00 + m11 + m22
+    z = t * 0.0
+    a1, a2, a3 = -0.25 * (m12 - m21), -0.25 * (m20 - m02), -0.25 * (m01 - m10)
+    d1, d2, d3 = [0.5 * (0.5 * (x + x) - t) for x in (m00, m11, m22)]
+    s12, s13, s23 = [0.5 * (0.5 * s - z) for s in (m01 + m10, m02 + m20, m12 + m21)]
+    q = [[0.0, a1, a2, a3], [a1, d1, s12, s13], [a2, s12, d2, s23], [a3, s13, s23, d3]]
+    if region == "surface":
+        q = [[x * _SURFACE_SCALE for x in row] for row in q]
+    return QForm(np.array(q))
 
 
 def maximize(qf: QForm) -> tuple[float, np.ndarray]:
@@ -132,7 +133,10 @@ def _solve(e: AffineChannel) -> tuple[QuasiInverseResult, QForm]:
     x = np.array([1.0, 0.0, 0.0, 0.0]) if trivial else v[:, 0]
     u = UnitaryParams.from_vector(x)
     before = mstd_analytic(e).value
-    after = mstd_composed(unitary_to_affine(u), e).value
+    # mstd_composed(unitary_to_affine(u), e) bit for bit without re-checking |x| = 1: the
+    # rotation's zero translation would only turn a -0.0 of R c, which is squared, into +0.0
+    rot = rotation_matrix(u)
+    after = _closed_form(rot @ e.m, rot @ e.c, 20.0)
     result = QuasiInverseResult(
         x=x,
         unitary=unitary_matrix(u),

@@ -234,13 +234,12 @@ def sample_sphere4(rng: RngStream) -> np.ndarray:
     return sphere4_samples(rng, 1)[0]
 
 
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Flip each column so its first component with |v| > SIGN_TOL is positive."""
-    first = (np.abs(vecs) > SIGN_TOL).argmax(axis=0)
-    # a column with no such component has |lead| <= SIGN_TOL and stays as it is
-    lead = vecs[first, np.arange(vecs.shape[1])]
-    vecs[:, lead < -SIGN_TOL] *= -1.0
-    return vecs
+def _signed(column: list) -> list:
+    """The column, negated if its first component with |v| > SIGN_TOL is negative."""
+    for value in column:
+        if abs(value) > SIGN_TOL:
+            return [-v for v in column] if value < 0.0 else column
+    return column
 
 
 def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,8 +255,10 @@ def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(float(np.linalg.norm(a - np.diag(np.diag(a))))) from exc
-    order = np.argsort(-w, kind="stable")
-    return w[order], _fix_signs(v[:, order])
+    # sorted() keeps equal eigenvalues in LAPACK's order under reverse=True too
+    values, columns = w.tolist(), v.T.tolist()
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    return np.array([values[i] for i in order]), np.array([_signed(columns[i]) for i in order]).T
 
 
 def eig_sym4(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -59,6 +59,14 @@ class TestParsing:
         with pytest.raises(DocumentError, match="label"):
             parse_channel_document({"type": "pauli", "p": [1, 0, 0, 0], "label": 7})
 
+    def test_tuples_parse_as_lists(self):
+        # the Python API may pass tuples where JSON has arrays
+        m = ((0.5, 0, 0), (0, 0.5, 0), (0, 0, 0.5))
+        as_tuples = parse_channel_document({"type": "affine", "m": m, "c": (0, 0, 0.1)})
+        as_lists = parse_channel_document({"type": "affine", "m": [list(row) for row in m], "c": [0, 0, 0.1]})
+        assert np.array_equal(as_tuples.affine.m, as_lists.affine.m)
+        assert np.array_equal(as_tuples.affine.c, as_lists.affine.c)
+
     def test_rejects_invalid_family_parameters(self):
         with pytest.raises(DocumentError):
             parse_channel_document({"type": "tetrahedron", "p": 0.4, "p_prime": 0.3})

@@ -233,3 +233,71 @@ class TestFoundByFuzzing:
         _check_outcome(code, captured.out, captured.err)
         assert code == 2
         assert message in json.loads(captured.out)["error"]["message"]
+
+
+_KRAUS_MESSAGE = "each kraus operator must be a 2x2 matrix of [re, im] number pairs"
+_AFFINE_MESSAGE = "affine document needs a 3x3 'm' and 3-vector 'c' of numbers"
+_IDENTITY_OPERATOR = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+_M = [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]
+_HUGE = "1" + "0" * 400  # an integer literal no float holds
+
+
+def _kraus_text(operator):
+    return json.dumps({"type": "kraus", "operators": [operator]})
+
+
+def _affine_text(m, c=(0, 0, 0)):
+    return json.dumps({"type": "affine", "m": m, "c": list(c)})
+
+
+class TestArrayFields:
+    """Number arrays in a document: each malformed shape or leaf type gets its message and exit 2."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (_kraus_text([[[True, 0], [0, 0]], [[0, 0], [1, 0]]]), _KRAUS_MESSAGE),
+            (_kraus_text([[["1", 0], [0, 0]], [[0, 0], [1, 0]]]), _KRAUS_MESSAGE),
+            (_kraus_text([[[None, 0], [0, 0]], [[0, 0], [1, 0]]]), _KRAUS_MESSAGE),
+            (_kraus_text([[[1, 0], [0, 0]], [[0, 0], [1, 0, 0]]]), _KRAUS_MESSAGE),  # ragged
+            (_kraus_text([[[1, 0], [0, 0]], [[0, 0]]]), _KRAUS_MESSAGE),  # ragged
+            (_kraus_text([[[[1], 0], [0, 0]], [[0, 0], [1, 0]]]), _KRAUS_MESSAGE),  # extra nesting
+            (_kraus_text([[1, 0], [0, 1]]), _KRAUS_MESSAGE),  # too shallow
+            (_kraus_text([[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]), _KRAUS_MESSAGE),  # 2x3
+            (_kraus_text({"re": 1}), _KRAUS_MESSAGE),
+            (_kraus_text([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]).replace("1, 0]]]", _HUGE + ", 0]]]"),
+             "int too large to convert to float"),
+            (_affine_text([[True, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]), _AFFINE_MESSAGE),
+            (_affine_text([["0.5", 0, 0], [0, 0.5, 0], [0, 0, 0.5]]), _AFFINE_MESSAGE),
+            (_affine_text([[None, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]), _AFFINE_MESSAGE),
+            (_affine_text([[0.5, 0], [0, 0.5, 0], [0, 0, 0.5]]), _AFFINE_MESSAGE),  # ragged
+            (_affine_text([[0.5, 0, 0], [0, [0.5, 0], 0], [0, 0, 0.5]]), _AFFINE_MESSAGE),  # ragged
+            (_affine_text([[[0.5], [0], [0]], [[0], [0.5], [0]], [[0], [0], [0.5]]]), _AFFINE_MESSAGE),
+            (_affine_text([[0.5, 0, 0], [0, 0.5, 0]]), _AFFINE_MESSAGE),  # 2x3
+            (_affine_text(0.5), _AFFINE_MESSAGE),
+            (_affine_text("abc"), _AFFINE_MESSAGE),
+            (_affine_text(_M, c=(0, 0)), _AFFINE_MESSAGE),
+            (_affine_text(_M, c=(0, 0, [0])), _AFFINE_MESSAGE),
+            (_affine_text(_M, c=(0, False, 0)), _AFFINE_MESSAGE),
+            # a non-number decides before the huge integer is converted
+            (_affine_text([[1, "x", 0], [0, 0.5, 0], [0, 0, 0.5]]).replace("[1,", f"[{_HUGE},"), _AFFINE_MESSAGE),
+            (_affine_text([[1, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]).replace("[1,", f"[{_HUGE},"),
+             "int too large to convert to float"),
+            (_affine_text(_M, c=(0, 0, 1)).replace("0, 1]}", f"0, -{_HUGE}]}}"), "int too large to convert to float"),
+        ],
+    )
+    def test_parse_error(self, capsys, monkeypatch, text, message):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["analyze", "-"])
+        captured = capsys.readouterr()
+        _check_outcome(code, captured.out, captured.err)
+        assert code == 2
+        assert json.loads(captured.out)["error"]["message"] == message
+
+    def test_valid_arrays_parse(self, capsys, monkeypatch):
+        for text in (_kraus_text(_IDENTITY_OPERATOR), _affine_text(_M, c=(0, 0, 0.25))):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert cli.main(["analyze", "-"]) == 0
+            capsys.readouterr()

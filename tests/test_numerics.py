@@ -4,7 +4,7 @@ import pytest
 from quasinv.numerics import (
     ConvergenceError,
     RngStream,
-    _fix_signs,
+    _signed,
     ball_samples,
     eig_herm4,
     eig_sym4,
@@ -106,7 +106,9 @@ class TestEigSym4:
                 nz = np.flatnonzero(np.abs(col) > 1e-12)
                 if nz.size and col[nz[0]] < 0.0:
                     expected[:, j] = -col
-            assert np.array_equal(_fix_signs(vecs.copy()), expected)
+            signed = np.array([_signed(col) for col in vecs.T.tolist()]).T
+            assert np.array_equal(signed, expected)
+            assert (np.signbit(signed) == np.signbit(expected)).all()
 
     def test_deterministic(self):
         q = random_symmetric(RngStream(107))
