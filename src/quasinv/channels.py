@@ -159,9 +159,13 @@ class UnitaryParams:
         xvec = np.asarray(self.xvec, dtype=float)
         if xvec.shape != (3,):
             raise ValueError(f"x must have shape (3,), got {xvec.shape}")
-        norm2 = self.x0 * self.x0 + float(xvec @ xvec)
-        if not (abs(norm2 - 1.0) <= UNIT_NORM_TOL):
-            raise ValueError(f"(x0, x) is not unit length: |x|^2 = {norm2}")
+        x0, (x1, x2, x3) = self.x0, xvec.tolist()
+        # a Python-float |x|^2 accepts what is clearly unit length; numpy's expression decides the rest
+        if not abs(x0 * x0 + (x1 * x1 + x2 * x2 + x3 * x3) - 1.0) <= 0.5 * UNIT_NORM_TOL:
+            with np.errstate(all="ignore"):  # entries beyond ~1e154 overflow to inf
+                norm2 = x0 * x0 + float(xvec @ xvec)
+            if not (abs(norm2 - 1.0) <= UNIT_NORM_TOL):
+                raise ValueError(f"(x0, x) is not unit length: |x|^2 = {norm2}")
         self.xvec = xvec
 
     @classmethod
@@ -178,8 +182,17 @@ class UnitaryParams:
 
 def unitary_matrix(u: UnitaryParams) -> np.ndarray:
     """The 2x2 matrix x0 I + i (x1 X + x2 Y + x3 Z)."""
-    x = u.xvec
-    return u.x0 * IDENTITY2 + 1j * (x[0] * SIGMA_X + x[1] * SIGMA_Y + x[2] * SIGMA_Z)
+    # numpy's x0 * I + 1j * ((x1 * X + x2 * Y) + x3 * Z) entry by entry, signed zeros included:
+    # every product is complex by complex, with a real factor x entering as (x, +0.0)
+    x0, x1, x2, x3 = map(complex, (u.x0, *u.xvec.tolist()))
+    one, zero = complex(1.0, 0.0), complex(0.0, 0.0)
+    diagonal_xy = x1 * zero + x2 * zero
+    return np.array([
+        [x0 * one + 1j * (diagonal_xy + x3 * one),
+         x0 * zero + 1j * ((x1 * one + x2 * complex(-0.0, -1.0)) + x3 * zero)],
+        [x0 * zero + 1j * ((x1 * one + x2 * complex(0.0, 1.0)) + x3 * zero),
+         x0 * one + 1j * (diagonal_xy + x3 * complex(-1.0, 0.0))],
+    ])
 
 
 def _rotation_entries(x0, x1, x2, x3):

@@ -39,7 +39,7 @@ EXIT_VERIFY = 4
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except DocumentError as exc:
@@ -56,8 +56,25 @@ def main(argv=None) -> int:
         return EXIT_OK
 
 
+def _parse_args(argv: list) -> argparse.Namespace:
+    """The parsed command line; a named subcommand goes through its own parser only.
+
+    Anything that parser leaves over, and any argv not led by a subcommand
+    name, is parsed again by the full parser, so every help text, usage
+    line, error message and exit code is argparse's own.
+    """
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="quasinv",
         description="Unitary quasi-inverses of single-qubit channels "
@@ -100,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     _add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
-    return parser
+    return parser, sub.choices
 
 
 def _add_format(sub_parser) -> None:
@@ -127,7 +144,7 @@ def _read_document(path: str) -> ParsedChannel:
         raise DocumentError(f"cannot read {path!r}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past int's digit limit
         raise DocumentError(f"invalid JSON: {exc}") from exc
     return parse_channel_document(obj)
 

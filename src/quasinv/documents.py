@@ -21,6 +21,12 @@ from .zoo import FAMILY_TABLE, Family, FamilySpec, channel
 
 _FAMILY_BY_TYPE = {family.doc_type: family for family in FAMILY_TABLE}
 CHANNEL_TYPES = ("kraus", "affine", *_FAMILY_BY_TYPE)
+# the fields parse_channel_document reads, by document type
+_FIELDS_READ = {
+    "kraus": {"type", "label", "operators"},
+    "affine": {"type", "label", "m", "c"},
+    **{family.doc_type: {"type", "label", *family.params} for family in FAMILY_TABLE},
+}
 
 
 class DocumentError(ValueError):
@@ -177,8 +183,22 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    """Whether a JSON value holds no NaN or infinite number at any depth."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    return True
 
 
 def _as_float(value, name: str) -> float:
@@ -194,7 +214,8 @@ def _as_array(raw, shape: tuple, message: str) -> np.ndarray:
         if not all(isinstance(x, (list, tuple)) and len(x) == n for x in items):
             raise DocumentError(message)
         items = [y for x in items for y in x]
-    if not all(map(_is_number, items)):
+    # exact int and float leaves pass at once; _is_number decides anything else (bools, subclasses)
+    if not set(map(type, items)) <= _PLAIN_NUMBERS and not all(map(_is_number, items)):
         raise DocumentError(message)
     return np.array(items, dtype=float).reshape(shape)
 
@@ -209,6 +230,12 @@ def parse_channel_document(obj) -> ParsedChannel:
     label = obj.get("label", "")
     if not isinstance(label, str):
         raise DocumentError("label must be a string")
+    # the checks below refuse non-finite numbers in the fields they read; the rest is echoed as
+    # given, and JSON output has no NaN or infinity
+    read = _FIELDS_READ[doc_type]
+    for key, value in obj.items():
+        if key not in read and not _finite(value):
+            raise DocumentError(f"field {key!r} holds a non-finite number")
 
     try:
         if doc_type == "kraus":

@@ -34,6 +34,7 @@ DEGENERACY_TOL = 1e-10
 
 # Ratio of the surface-moment form to the ball-moment form: (1/12)/(1/20).
 _SURFACE_SCALE = 5.0 / 3.0
+_UPPER_TRIANGLE = [(i, j) for i in range(4) for j in range(i, 4)]
 
 
 @dataclass(eq=False)
@@ -46,7 +47,10 @@ class QForm:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {q.shape}")
-        if not (np.abs(q - q.T) <= 1e-12).all():
+        rows = q.tolist()
+        # numpy's elementwise |q - q^T| <= 1e-12 in Python floats, on the upper triangle: the same
+        # decision, since |a - b| is |b - a| and a diagonal entry passes exactly when it is finite
+        if not all([abs(rows[i][j] - rows[j][i]) <= 1e-12 for i, j in _UPPER_TRIANGLE]):
             raise ValueError("quadratic form must be symmetric")
         self.q = q
 
@@ -132,7 +136,7 @@ def _solve(e: AffineChannel) -> tuple[QuasiInverseResult, QForm]:
     trivial = lam <= TRIVIAL_TOL
     x = np.array([1.0, 0.0, 0.0, 0.0]) if trivial else v[:, 0]
     u = UnitaryParams.from_vector(x)
-    before = mstd_analytic(e).value
+    before = _closed_form(e.m, e.c, 20.0)  # mstd_analytic(e).value
     # mstd_composed(unitary_to_affine(u), e) bit for bit without re-checking |x| = 1: the
     # rotation's zero translation would only turn a -0.0 of R c, which is squared, into +0.0
     rot = rotation_matrix(u)

@@ -71,8 +71,17 @@ def mstd_composed(ei: AffineChannel, e: AffineChannel) -> MstdReport:
 
 def _closed_form(m: np.ndarray, c: np.ndarray, denominator: float) -> float:
     """(Tr(M M^T) - 2 Tr M + 3) / denominator + |c|^2 / 4, clipped at 0."""
-    value = (np.sum(m * m) - 2.0 * np.trace(m) + 3.0) / denominator + 0.25 * float(c @ c)
-    return max(float(value), 0.0)
+    # Python floats in numpy's order: m * m keeps m's memory order p0..p8, in which np.sum adds the
+    # squares sk = pk * pk as ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) + s8; np.trace sums
+    # ((0 + m00) + m11) + m22. |c|^2 stays a BLAS dot, whose order a Python sum does not reproduce.
+    rows = m.tolist()
+    row_major = m.strides[0] >= m.strides[1] >= 0
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = rows[0] + rows[1] + rows[2] if row_major else m.ravel("K").tolist()
+    frobenius = ((p0 * p0 + p1 * p1) + (p2 * p2 + p3 * p3)) + ((p4 * p4 + p5 * p5) + (p6 * p6 + p7 * p7))
+    frobenius += p8 * p8
+    trace = 0.0 + rows[0][0] + rows[1][1] + rows[2][2]
+    value = (frobenius - 2.0 * trace + 3.0) / denominator + 0.25 * float(c @ c)
+    return max(value, 0.0)
 
 
 def mstd_monte_carlo(

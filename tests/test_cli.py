@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -864,3 +865,167 @@ class TestDeepNesting:
         code, out, err = run_text(capsys, monkeypatch, ["analyze", "-"], text)
         assert_parse_error(code, out, err)
         assert json.loads(out)["error"]["message"] == "document is nested too deeply"
+
+
+class TestNonFiniteEchoedField:
+    """A NaN or infinity in a field the parser does not read is a parse error before any work."""
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("command", ["analyze", "mstd", "verify"])
+    @pytest.mark.parametrize(
+        "value", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "[0.5, {\"a\": NaN}]"]
+    )
+    def test_parse_error(self, capsys, monkeypatch, fmt, command, value):
+        monkeypatch.setattr(cli.oracle, "verify", lambda *a, **kw: pytest.fail("verify ran"))
+        text = '{"type": "pauli", "p": [0.1, 0.6, 0.2, 0.1], "note": ' + value + "}"
+        code, out, err = run_text(capsys, monkeypatch, [*COMMANDS[command], "-", "--format", fmt], text)
+        assert_parse_error(code, out, err)
+        assert json.loads(out)["error"]["message"] == "field 'note' holds a non-finite number"
+
+    @pytest.mark.parametrize("channel", [TRANSPOSE, {"type": "kraus", "operators": [IDENTITY_OPERATOR]}])
+    def test_any_document_type(self, capsys, monkeypatch, channel):
+        # the CPTP failure (TRANSPOSE) echoes its input too
+        text = json.dumps(channel)[:-1] + ', "note": {"x": [1, Infinity]}}'
+        code, out, err = run_text(capsys, monkeypatch, ["analyze", "-"], text)
+        assert_parse_error(code, out, err)
+
+    def test_finite_extra_fields_are_echoed(self, capsys, monkeypatch):
+        text = '{"type": "pauli", "p": [0.1, 0.6, 0.2, 0.1], "note": [1e308, -0.5, {"a": 2}]}'
+        code, out, err = run_text(capsys, monkeypatch, ["analyze", "-"], text)
+        assert code == 0 and err == ""
+        assert json.loads(out)["input"]["note"] == [1e308, -0.5, {"a": 2}]
+
+    def test_integer_past_the_digit_limit(self, capsys, monkeypatch):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if not limit:
+            pytest.skip("this interpreter converts integer literals of any length")
+        text = '{"type": "pauli", "p": [0.1, 0.6, 0.2, 0.1], "note": ' + "1" * (limit + 1) + "}"
+        code, out, err = run_text(capsys, monkeypatch, ["analyze", "-"], text)
+        assert_parse_error(code, out, err)
+        assert json.loads(out)["error"]["message"].startswith("invalid JSON: ")
+
+
+GAD = {"type": "gad", "gamma": 0.3, "p": 0.2}
+
+# each argv's {path} is a file holding GAD; stdin holds GAD too
+ARGV_MATRIX = [
+    ["analyze", "{path}"],
+    ["analyze", "-"],
+    ["analyze", "{path}", "--format", "table"],
+    ["analyze", "{path}", "--format=table"],
+    ["analyze", "--form", "table", "{path}"],
+    ["analyze", "-", "--format", "table", "--format", "json"],
+    ["mstd", "{path}", "--surface"],
+    ["mstd", "-", "--monte", "1000", "--seed", "3"],
+    ["mstd", "{path}", "--monte-carlo=1000", "--surf", "--format", "table"],
+    ["zoo", "gad", "0.3", "0.2"],
+    ["zoo", "gad", "0.3", "0.2", "--label", "x"],
+    ["zoo", "rotation", "--", "2.2", "0.6", "0", "0.8"],
+    ["zoo", "gad", "-0.3", "0.2"],
+    ["random"],
+    ["random", "--count", "2", "--seed", "5", "--kraus", "2"],
+    ["verify", "{path}", "--samples", "10000", "--seed", "1"],
+    ["verify", "-", "--samp", "10000", "--format", "table"],
+    # help
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["analyze", "-h"],
+    ["analyze", "{path}", "-h"],
+    ["zoo", "--help"],
+    ["-h", "analyze"],
+    # unknown, abbreviated or missing commands and positionals
+    ["ana", "{path}"],
+    ["analyse", "{path}"],
+    ["nosuch"],
+    ["analyze"],
+    ["zoo"],
+    ["zoo", "nofamily", "1"],
+    ["zoo", "gad", "x", "0.2"],
+    # bad option values
+    ["analyze", "{path}", "--format", "xml"],
+    ["analyze", "{path}", "--format"],
+    ["random", "--count", "x"],
+    ["random", "--count", "0"],
+    ["mstd", "{path}", "--monte-carlo", "10"],
+    # '--', extra positionals and unknown options
+    ["analyze", "--", "-"],
+    ["--", "analyze", "-"],
+    ["analyze", "{path}", "--", "extra"],
+    ["analyze", "{path}", "extra"],
+    ["analyze", "{path}", "--bogus"],
+    ["analyze", "{path}", "--bogus=1"],
+    ["analyze", "-x", "{path}"],
+    ["random", "--seed", "1", "extra"],
+    ["--format", "table", "analyze", "{path}"],
+    ["-x"],
+]
+
+
+class TestOnePassDispatch:
+    """main parses a named subcommand with that subcommand's parser alone; argparse's own
+    two-pass parse, through the full parser, must give the same stdout, stderr and exit code."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        return write_doc(tmp_path, GAD)
+
+    @staticmethod
+    def outcome(capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(GAD)))
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def two_pass(monkeypatch):
+        parser, _ = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+
+    @pytest.mark.parametrize("argv", ARGV_MATRIX, ids=" ".join)
+    def test_same_outcome(self, capsys, monkeypatch, path, argv):
+        argv = [arg.replace("{path}", path) for arg in argv]
+        one_pass = self.outcome(capsys, monkeypatch, argv)
+        with monkeypatch.context() as patch:
+            self.two_pass(patch)
+            assert self.outcome(capsys, patch, argv) == one_pass
+
+    def test_matrix_reaches_every_exit(self, capsys, monkeypatch, path):
+        codes = {self.outcome(capsys, monkeypatch, [arg.replace("{path}", path) for arg in argv])[0]
+                 for argv in ARGV_MATRIX}
+        assert codes == {0, 2}
+
+    @pytest.mark.parametrize("argv", [["analyze", "{path}", "--format", "table"], ["-h"], ["ana"]],
+                             ids=" ".join)
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch, path, argv):
+        argv = [arg.replace("{path}", path) for arg in argv]
+        monkeypatch.setattr(sys, "argv", ["quasinv", *argv])
+        expected = self.outcome(capsys, monkeypatch, argv)
+        assert self.outcome(capsys, monkeypatch, None) == expected
+        with monkeypatch.context() as patch:
+            self.two_pass(patch)
+            assert self.outcome(capsys, patch, None) == expected
+
+    def test_subcommand_parsed_once(self, capsys, monkeypatch, path):
+        parser, commands = cli._build_parser()
+        calls = []
+        original = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        for name, argv in [("analyze", ["analyze", path]), ("zoo", ["zoo", "gad", "0.3", "0.2"]),
+                           ("random", ["random", "--count", "1"]), ("mstd", ["mstd", path, "--surface"])]:
+            calls.clear()
+            assert self.outcome(capsys, monkeypatch, argv)[0] == 0
+            assert calls == [commands[name]], name
+        # left-over arguments go to the full parser, which reports them
+        calls.clear()
+        assert self.outcome(capsys, monkeypatch, ["analyze", path, "extra"])[0] == 2
+        assert calls[:2] == [commands["analyze"], parser]

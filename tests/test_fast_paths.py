@@ -1,15 +1,18 @@
 """The analyze path's Python-float fast paths against the numpy expressions they replace.
 
-``build_q``, ``eigh_desc``'s order and signs, the solver's ``mstd_after``
-and ``AffineChannel``'s contraction check work on Python floats. The
+``build_q``, ``eigh_desc``'s order and signs, the closed-form MSTD,
+``unitary_matrix``, the unit-length check of ``UnitaryParams``, the
+symmetry check of ``QForm``, the number check of document arrays and
+``AffineChannel``'s contraction check work on Python values. The
 references below are the numpy expressions they replaced; every value
 must match them bit for bit, signed zeros included, and every accept or
-reject decision (with its message) must be the one the ``eigvalsh``
-route makes. An analyzed document costs two LAPACK calls: the Choi
-spectrum and the eigenpairs of the 4x4 form.
+reject decision (with its message) must be the one the reference makes.
+An analyzed document costs two LAPACK calls: the Choi spectrum and the
+eigenpairs of the 4x4 form.
 """
 
 import io
+import itertools
 import json
 import math
 import sys
@@ -22,6 +25,11 @@ from quasinv import documents, zoo
 from quasinv.channels import (
     BLOCH_TOL,
     CPTP_TOL,
+    IDENTITY2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    UNIT_NORM_TOL,
     AffineChannel,
     UnitaryParams,
     _cptp_report,
@@ -38,7 +46,8 @@ from quasinv.inverter import (
     _solve,
     build_q,
 )
-from quasinv.metrics import mstd_analytic, mstd_composed
+from quasinv.documents import DocumentError, _as_array, _is_number
+from quasinv.metrics import _closed_form
 from quasinv.numerics import SIGN_TOL, RngStream, eigh_desc, sample_sphere4
 from test_cli import CONTRACTION_BOUNDARY
 
@@ -73,6 +82,16 @@ def eigh_desc_reference(a):
     return w[order], fix_signs_reference(v[:, order])
 
 
+def closed_form_reference(m, c, denominator):
+    value = (np.sum(m * m) - 2.0 * np.trace(m) + 3.0) / denominator + 0.25 * float(c @ c)
+    return max(float(value), 0.0)
+
+
+def unitary_matrix_reference(u):
+    x = u.xvec
+    return u.x0 * IDENTITY2 + 1j * (x[0] * SIGMA_X + x[1] * SIGMA_Y + x[2] * SIGMA_Z)
+
+
 def solve_reference(e):
     """_solve from the reference expressions, with mstd_after by the checked composition route."""
     q = build_q_reference(e)
@@ -81,17 +100,43 @@ def solve_reference(e):
     trivial = lam <= TRIVIAL_TOL
     x = np.array([1.0, 0.0, 0.0, 0.0]) if trivial else v[:, 0]
     u = UnitaryParams.from_vector(x)
+    rot = unitary_to_affine(u)
     result = QuasiInverseResult(
         x=x,
-        unitary=unitary_matrix(u),
+        unitary=unitary_matrix_reference(u),
         lambda_max=lam,
         delta_mstd=0.4 * max(lam, 0.0),
-        mstd_before=mstd_analytic(e).value,
-        mstd_after=mstd_composed(unitary_to_affine(u), e).value,
+        mstd_before=closed_form_reference(e.m, e.c, 20.0),
+        mstd_after=closed_form_reference(rot.m @ e.m, rot.m @ e.c + rot.c, 20.0),
         trivial=trivial,
         degenerate=bool(w[0] - w[1] < DEGENERACY_TOL),
     )
     return result, QForm(q)
+
+
+def unit_norm_reference(x0, xvec):
+    """UnitaryParams' check by numpy's expression: None, or the refusal message."""
+    with np.errstate(over="ignore"):
+        norm2 = x0 * x0 + float(xvec @ xvec)
+    if not (abs(norm2 - 1.0) <= UNIT_NORM_TOL):
+        return f"(x0, x) is not unit length: |x|^2 = {norm2}"
+    return None
+
+
+def symmetric_reference(q):
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return bool((np.abs(q - q.T) <= 1e-12).all())
+
+
+def as_array_reference(raw, shape, message):
+    items = [raw]
+    for n in shape:
+        if not all(isinstance(x, (list, tuple)) and len(x) == n for x in items):
+            raise DocumentError(message)
+        items = [y for x in items for y in x]
+    if not all(map(_is_number, items)):
+        raise DocumentError(message)
+    return np.array(items, dtype=float).reshape(shape)
 
 
 def eigvalsh_route(m, c):
@@ -329,3 +374,209 @@ class TestLapackBudget:
             assert cli.main(["analyze", "-"]) == 0
             capsys.readouterr()
             assert sorted(calls) == ["eigh", "eigvalsh"]
+
+
+# ---------------------------------------------------------------------------
+# closed form, unitary matrix, unit-length and symmetry checks, document arrays
+# ---------------------------------------------------------------------------
+
+SIGNED_VALUES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0]
+
+
+def same_float(a, b) -> bool:
+    return type(a) is float and type(b) is float and a.hex() == b.hex()
+
+
+def layouts(m):
+    """m in every memory order np.sum might add it in: rows, columns, reversed and a strided view."""
+    wide = np.zeros((3, 5))
+    wide[:, 1:4] = m
+    return [m, np.asfortranarray(m), m[::-1], m[:, ::-1], m.T[::-1], wide[:, 1:4]]
+
+
+def closed_form_inputs():
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        yield rng.standard_normal((3, 3)) * rng.choice([1e-3, 0.3, 1.0, 30.0]), rng.standard_normal(3)
+        yield rng.choice(SIGNED_VALUES, size=(3, 3)), rng.choice(SIGNED_VALUES, size=3)
+    for e in random_channels(300, seed=12):
+        assert not e.m.flags.c_contiguous  # kraus_to_affine's t[:, 1:] view
+        yield e.m, e.c
+        r = rotation(RngStream(int(rng.integers(1 << 30))))
+        yield r @ e.m, r @ e.c
+    for m in SIGNED_ZERO_AFFINE:
+        yield np.array(m), np.array([0.0, -0.0, 0.0])
+    yield -np.eye(3), np.zeros(3)  # negative trace
+    yield np.full((3, 3), -0.0), np.full(3, -0.0)
+
+
+class TestClosedForm:
+    def test_matches_numpy(self):
+        seen = 0
+        for m, c in closed_form_inputs():
+            for view in layouts(m):
+                for denominator in (20.0, 12.0):
+                    expected = closed_form_reference(view, c, denominator)
+                    assert same_float(_closed_form(view, c, denominator), expected), (view.tolist(), c.tolist())
+                    seen += 1
+        assert seen > 50_000
+
+    def test_layouts_change_numpy_order(self):
+        # the column-major layouts do add in another order: some sums differ from the row-major one
+        rng = np.random.default_rng(3)
+        ms = [rng.standard_normal((3, 3)) for _ in range(200)]
+        zero = np.zeros(3)
+        assert any(closed_form_reference(m, zero, 20.0) != closed_form_reference(np.asfortranarray(m), zero, 20.0)
+                   for m in ms)
+
+
+def unit_vectors():
+    rng = RngStream(31)
+    yield np.array([1.0, 0.0, 0.0, 0.0])  # the trivial result
+    for v in itertools.product(SIGNED_VALUES, repeat=4):
+        v = np.array(v)
+        if v.any():
+            yield v / np.linalg.norm(v)  # keeps the signs of zeros
+    for _ in range(5000):
+        yield sample_sphere4(rng)
+
+
+class TestUnitaryMatrix:
+    def test_matches_numpy(self):
+        signs = set()
+        for v in unit_vectors():
+            u = UnitaryParams.from_vector(v)
+            got, expected = unitary_matrix(u), unitary_matrix_reference(u)
+            assert same_bits(got, expected), v.tolist()
+            signs |= {bool(np.signbit(z)) for z in got.view(float).ravel() if z == 0.0}
+        assert signs == {False, True}  # signed zeros reach the matrix
+
+
+def unit_norm_inputs():
+    rng = RngStream(8)
+    for _ in range(300):
+        v = sample_sphere4(rng)
+        yield v
+        for eps in (1e-13, 2.4e-13, 2.6e-13, 4.9e-13, 5e-13, 5.1e-13, 1e-12):
+            # |x|^2 moves by about 2 eps: across the fast path's 0.5e-12 and the 1e-12 bound
+            yield (1.0 + eps) * v
+            yield (1.0 - eps) * v
+    yield np.array([1.0, 0.0, 0.0, 1e-6])
+    yield np.array([np.nan, 0.0, 0.0, 0.0])
+    yield np.array([1.0, np.inf, 0.0, 0.0])
+    yield np.array([1e200, 0.0, 0.0, 0.0])
+    yield np.array([1.0, 1e200, 0.0, 0.0])
+    yield np.zeros(4)
+
+
+class TestUnitNormDecision:
+    def test_same_decisions_and_messages(self):
+        seen = {"accepted": 0, "rejected": 0}
+        for v in unit_norm_inputs():
+            try:
+                UnitaryParams.from_vector(v)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            expected = unit_norm_reference(float(v[0]), v[1:])
+            assert got == expected, v.tolist()
+            seen["rejected" if expected else "accepted"] += 1
+        assert seen["accepted"] > 2000 and seen["rejected"] > 500
+
+
+def q_inputs():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        a = rng.standard_normal((4, 4))
+        q = a + a.T
+        yield q
+        i, j = rng.choice(4, size=2, replace=False)
+        for eps in (5e-13, 1e-12, 1.0000001e-12, 2e-12, 1.0):
+            for sign in (1.0, -1.0):
+                p = q.copy()
+                p[i, j] += sign * eps
+                yield p
+    for value in (np.nan, np.inf, -np.inf):
+        for where in ((0, 0), (1, 2)):
+            q = np.eye(4)
+            q[where] = value
+            q[where[::-1]] = value
+            yield q
+    for bound in (1e-12, np.nextafter(1e-12, 1.0)):  # |q - q^T| at the bound, and just past it
+        q = np.zeros((4, 4))
+        q[1, 2] = bound
+        yield q
+    yield np.full((4, 4), -0.0)
+
+
+class TestQFormDecision:
+    def test_same_decisions(self):
+        seen = {True: 0, False: 0}
+        for q in q_inputs():
+            try:
+                QForm(q)
+                got = True
+            except ValueError as exc:
+                assert str(exc) == "quadratic form must be symmetric"
+                got = False
+            assert got == symmetric_reference(q), q.tolist()
+            seen[got] += 1
+        assert seen[True] > 500 and seen[False] > 500
+
+
+class _Float(float):
+    pass
+
+
+ARRAY_MESSAGE = "array message"
+
+
+def raw_arrays():
+    """(raw, shape) pairs: valid arrays, and ones with each kind of odd leaf or shape."""
+    leaves = [1, -2, 0, 0.5, -0.0, 1e308, 10**20, True, False, np.float64(0.25), np.float64(np.nan),
+              np.int64(3), np.float32(0.5), _Float(0.75), float("nan"), float("inf"), -float("inf"),
+              None, "0.5", [0.5], (0.5,), 10**400]
+    base3 = [0.1, 0.2, 0.3]
+    yield base3, (3,)
+    yield tuple(base3), (3,)
+    for leaf in leaves:
+        for i in range(3):
+            raw = list(base3)
+            raw[i] = leaf
+            yield raw, (3,)
+            rows = [list(base3), list(base3), list(base3)]
+            rows[i][2 - i] = leaf
+            yield rows, (3, 3)
+            yield tuple(map(tuple, rows)), (3, 3)
+        op = [[[1, 0], [0, 0]], [[0, 0], [1, leaf]]]
+        yield [op], (1, 2, 2, 2)
+    yield [[0.1, 0.2], [0.3]], (2, 2)
+    yield [[0.1, 0.2], 0.3], (2, 2)
+    yield [[0.1, [0.2]], [0.3, 0.4]], (2, 2)
+    yield [0.1, 0.2], (3,)
+    yield 0.5, (3,)
+    yield "abc", (3,)
+    yield {"a": 1}, (1,)
+    yield [], (0,)
+
+
+def array_outcome(fn, raw, shape):
+    try:
+        return fn(raw, shape, ARRAY_MESSAGE)
+    except (DocumentError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestDocumentArrays:
+    def test_same_arrays_and_refusals(self):
+        seen = {"accepted": 0, "refused": 0}
+        for raw, shape in raw_arrays():
+            got = array_outcome(_as_array, raw, shape)
+            expected = array_outcome(as_array_reference, raw, shape)
+            if isinstance(expected, np.ndarray):
+                assert isinstance(got, np.ndarray) and same_bits(got, expected), raw
+                seen["accepted"] += 1
+            else:
+                assert got == expected, raw
+                seen["refused"] += 1
+        assert seen["accepted"] > 50 and seen["refused"] > 80
