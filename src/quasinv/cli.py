@@ -27,9 +27,9 @@ from .documents import (
     parse_channel_document,
 )
 from .inverter import _solve
-from .metrics import MC_MIN_SAMPLES, mstd_analytic, mstd_monte_carlo, mstd_surface_analytic
+from .metrics import MC_MAX_SAMPLES, MC_MIN_SAMPLES, mstd_analytic, mstd_monte_carlo, mstd_surface_analytic
 from .numerics import ConvergenceError, RngStream
-from .oracle import BRUTE_FORCE_MIN_SAMPLES
+from .oracle import BRUTE_FORCE_MAX_SAMPLES, BRUTE_FORCE_MIN_SAMPLES
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -177,10 +177,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mstd(args) -> int:
-    if args.monte_carlo is not None and args.monte_carlo < MC_MIN_SAMPLES:
-        raise DocumentError(
-            f"--monte-carlo must be at least {MC_MIN_SAMPLES}, got {args.monte_carlo}"
-        )
+    if args.monte_carlo is not None:
+        _check_range("--monte-carlo", args.monte_carlo, MC_MIN_SAMPLES, MC_MAX_SAMPLES)
     parsed = _read_document(args.path)
     if _validated(parsed, args.format) is None:
         return EXIT_CPTP
@@ -213,8 +211,7 @@ def cmd_zoo(args) -> int:
 def cmd_random(args) -> int:
     if args.count < 1:
         raise DocumentError(f"--count must be at least 1, got {args.count}")
-    if not 1 <= args.kraus <= 4:
-        raise DocumentError(f"--kraus must be in 1..4, got {args.kraus}")
+    _check_range("--kraus", args.kraus, 1, 4)
     rng = RngStream(args.seed)
     for index in range(args.count):
         channel = random_channel(rng, args.kraus)
@@ -224,10 +221,7 @@ def cmd_random(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < BRUTE_FORCE_MIN_SAMPLES:
-        raise DocumentError(
-            f"--samples must be at least {BRUTE_FORCE_MIN_SAMPLES}, got {args.samples}"
-        )
+    _check_range("--samples", args.samples, BRUTE_FORCE_MIN_SAMPLES, BRUTE_FORCE_MAX_SAMPLES)
     parsed = _read_document(args.path)
     if _validated(parsed, args.format) is None:
         return EXIT_CPTP
@@ -242,6 +236,12 @@ def cmd_verify(args) -> int:
     )
     _print_doc(documents.report_document(parsed, "verification", verification), args.format)
     return EXIT_OK if verification.passed else EXIT_VERIFY
+
+
+def _check_range(option: str, value: int, low: int, high: int) -> None:
+    """Refuse an option value outside low..high as a parse error."""
+    if not low <= value <= high:
+        raise DocumentError(f"{option} must be in {low}..{high}, got {value}")
 
 
 def _cpus() -> int:

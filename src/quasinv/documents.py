@@ -201,14 +201,8 @@ def _finite(value) -> bool:
     return True
 
 
-def _as_float(value, name: str) -> float:
-    if not _is_number(value):
-        raise DocumentError(f"field {name!r} must be a number")
-    return float(value)
-
-
-def _as_array(raw, shape: tuple, message: str) -> np.ndarray:
-    """Nested lists or tuples of numbers (not bools) as a float array; a huge int raises OverflowError."""
+def _as_array(raw, shape: tuple, message: str, name: str) -> np.ndarray:
+    """Field ``name``: nested lists or tuples of numbers (not bools) as a float array."""
     items = [raw]
     for n in shape:
         if not all(isinstance(x, (list, tuple)) and len(x) == n for x in items):
@@ -217,7 +211,10 @@ def _as_array(raw, shape: tuple, message: str) -> np.ndarray:
     # exact int and float leaves pass at once; _is_number decides anything else (bools, subclasses)
     if not set(map(type, items)) <= _PLAIN_NUMBERS and not all(map(_is_number, items)):
         raise DocumentError(message)
-    return np.array(items, dtype=float).reshape(shape)
+    try:
+        return np.array(items, dtype=float).reshape(shape)
+    except OverflowError:
+        raise DocumentError(f"field {name!r} holds an integer too large for a float") from None
 
 
 def parse_channel_document(obj) -> ParsedChannel:
@@ -243,39 +240,26 @@ def parse_channel_document(obj) -> ParsedChannel:
             if not isinstance(raw_ops, list) or not raw_ops:
                 raise DocumentError("kraus document needs a nonempty operators list")
             message = "each kraus operator must be a 2x2 matrix of [re, im] number pairs"
-            arr = _as_array(raw_ops, (len(raw_ops), 2, 2, 2), message)
+            arr = _as_array(raw_ops, (len(raw_ops), 2, 2, 2), message, "operators")
             with np.errstate(invalid="ignore"):  # inf * 0j is nan, which KrausChannel refuses
                 ops = arr[..., 0] + 1j * arr[..., 1]
             kraus = KrausChannel(ops)
             affine = kraus_to_affine(kraus)
         elif doc_type == "affine":
             message = "affine document needs a 3x3 'm' and 3-vector 'c' of numbers"
-            m = _as_array(_require(obj, "m"), (3, 3), message)
-            c = _as_array(_require(obj, "c"), (3,), message)
+            m = _as_array(_require(obj, "m"), (3, 3), message, "m")
+            c = _as_array(_require(obj, "c"), (3,), message, "c")
             kraus = None
             affine = AffineChannel(m, c)
-        else:
-            kraus = channel(_parse_family(_FAMILY_BY_TYPE[doc_type], obj))
+        else:  # zoo checks the parameters, as it does for every FamilySpec
+            family = _FAMILY_BY_TYPE[doc_type]
+            kraus = channel(FamilySpec(family.name, {name: _require(obj, name) for name in family.params}))
             affine = kraus_to_affine(kraus)
     except DocumentError:
         raise
     except (ValueError, TypeError, OverflowError) as exc:
         raise DocumentError(str(exc)) from exc
     return ParsedChannel(label=label, doc=obj, affine=affine, kraus=kraus)
-
-
-def _parse_family(family: Family, obj: dict) -> FamilySpec:
-    """Family parameters of a document; zoo.channel checks that they are finite."""
-    params = {}
-    for name, components in family.params.items():
-        value = _require(obj, name)
-        if not components:
-            params[name] = _as_float(value, name)
-        elif isinstance(value, list) and len(value) == len(components):
-            params[name] = [_as_float(x, name) for x in value]
-        else:
-            raise DocumentError(f"{family.doc_type} document needs {name} = [{', '.join(components)}]")
-    return FamilySpec(family.name, params)
 
 
 # ---------------------------------------------------------------------------

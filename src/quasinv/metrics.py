@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AffineChannel, check_bloch
-from .numerics import RngStream, ball_samples, map_batches, sphere_samples
+from .numerics import MAX_BATCHES, RngStream, ball_samples, map_batches, sphere_samples
 
 MC_MIN_SAMPLES = 1000
 _MC_BATCH = 32768
+MC_MAX_SAMPLES = MAX_BATCHES * _MC_BATCH  # 2^31
 
 METHOD_ANALYTIC_BALL = "analytic-ball"
 METHOD_ANALYTIC_SURFACE = "analytic-surface"

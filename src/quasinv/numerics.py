@@ -38,6 +38,8 @@ _UNIFORM_SHIFT = np.uint64(11)  # keeps the top 53 bits of a word
 SIGN_TOL = 1e-12
 # Largest |h - h^dag| entry eig_herm4 accepts as Hermitian.
 HERMITIAN_TOL = 1e-12
+# Most batches map_batches cuts one computation into.
+MAX_BATCHES = 1 << 16
 
 
 class ConvergenceError(RuntimeError):
@@ -197,7 +199,8 @@ def map_batches(rng: RngStream, n: int, batch: int, fn, workers: int = 1) -> lis
 
     Batch k draws from ``substream(base, k)``, where base is one word of
     ``rng``, so the results depend on (rng, n, batch) and not on the number
-    of worker threads. ``workers`` is an integer >= 1 (a bool is refused);
+    of worker threads. There are at most ``MAX_BATCHES`` batches.
+    ``workers`` is an integer >= 1 (a bool is refused);
     the pool has no more threads than there are batches, and with one
     thread the batches run serially without a pool. Results come back in
     batch order either way.
@@ -207,6 +210,8 @@ def map_batches(rng: RngStream, n: int, batch: int, fn, workers: int = 1) -> lis
     workers = operator.index(workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if n > MAX_BATCHES * batch:
+        raise ValueError(f"{n} items need more than {MAX_BATCHES} batches of {batch}")
     base = rng.u64()
     sizes = [batch] * (n // batch)
     if n % batch:

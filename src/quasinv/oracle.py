@@ -17,10 +17,11 @@ import numpy as np
 from .channels import AffineChannel, _rotation_entries
 from .inverter import QuasiInverseResult
 from .metrics import mstd_analytic
-from .numerics import RngStream, map_batches, sphere4_samples
+from .numerics import MAX_BATCHES, RngStream, map_batches, sphere4_samples
 
 BRUTE_FORCE_MIN_SAMPLES = 10_000
 _BATCH = 65536
+BRUTE_FORCE_MAX_SAMPLES = MAX_BATCHES * _BATCH  # 2^32
 # rows of a batch drawn and evaluated at a time, so a batch's (n, 3, 3)
 # stacks stay under 1 MB
 _CHUNK = 4096

@@ -20,6 +20,7 @@ never does.
 from __future__ import annotations
 
 import numbers
+import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -99,12 +100,14 @@ def channel(spec: FamilySpec) -> KrausChannel:
 
 
 def _build(spec: FamilySpec) -> _Built:
-    """Run the family's builder once every parameter is checked.
+    """Run the family's builder on the checked parameters.
 
-    As for a document, every parameter must first be present and be a real
-    number (not a string or a bool), or a list of as many real numbers as
-    it has components; then every one must be finite. A ValueError names
-    the first parameter that fails.
+    Documents, hand-built specs and ``quasinv zoo`` all come through here.
+    Every parameter must first be present and be a real number (not a
+    string or a bool) that a float holds, or a list of as many such numbers
+    as it has components; then every one must be finite. A ValueError names
+    the first parameter that fails. The builder gets each scalar as a float
+    and each vector as a float array.
     """
     family = _BY_NAME[spec.family]
     checked = {
@@ -114,11 +117,11 @@ def _build(spec: FamilySpec) -> _Built:
     for name, values in checked.items():
         if not np.isfinite(values).all():
             raise ValueError(f"parameter {name!r} must be a finite number")
-    return family.build(spec.parameters)
+    return family.build(checked)
 
 
-def _real_values(parameters: dict, name: str, components: tuple) -> np.ndarray:
-    """The numbers of one parameter as a float array, refusing anything but real numbers."""
+def _real_values(parameters: dict, name: str, components: tuple):
+    """One parameter as a float, or its components as a float array; anything but real numbers is refused."""
     if name not in parameters:
         raise ValueError(f"parameter {name!r} is missing")
     value = parameters[name]
@@ -131,8 +134,13 @@ def _real_values(parameters: dict, name: str, components: tuple) -> np.ndarray:
         raise ValueError(f"parameter {name!r} needs {len(components)} components [{rendered}]")
     for v in values:
         if not isinstance(v, numbers.Real) or isinstance(v, bool):
-            raise ValueError(f"parameter {name!r} must be a real number, got {v!r}")
-    return np.asarray(values, dtype=float)
+            # a document may hold a megabyte string here: echo only its start
+            raise ValueError(f"parameter {name!r} must be a real number, got {reprlib.repr(v)}")
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(f"parameter {name!r} holds an integer too large for a float") from None
+    return np.array(floats) if components else floats[0]
 
 
 def spec_from_values(name: str, values) -> FamilySpec:
@@ -154,7 +162,7 @@ def _diag_q(entries) -> np.ndarray:
 
 
 def _make_pauli(params: dict) -> _Built:
-    p = np.asarray(params["p"], dtype=float)
+    p = params["p"]
     if np.any(p < -_PARAM_TOL) or abs(p.sum() - 1.0) > _PARAM_TOL:
         raise ValueError(f"pauli probabilities must be nonnegative and sum to 1, got {p}")
     p = np.clip(p, 0.0, None)
@@ -180,8 +188,7 @@ def _make_pauli(params: dict) -> _Built:
 
 
 def _make_gad(params: dict) -> _Built:
-    gamma = float(params["gamma"])
-    p = float(params["p"])
+    gamma, p = params["gamma"], params["p"]
     if not -1.0 - _PARAM_TOL <= gamma <= 1.0 + _PARAM_TOL:
         raise ValueError(f"gamma must lie in [-1, 1], got {gamma}")
     if not -_PARAM_TOL <= p <= 1.0 + _PARAM_TOL:
@@ -208,8 +215,7 @@ def _make_gad(params: dict) -> _Built:
 
 
 def _make_mixed_unitary(params: dict) -> _Built:
-    p = float(params["p"])
-    theta = float(params["theta"])
+    p, theta = params["p"], params["theta"]
     if not -_PARAM_TOL <= p <= 1.0 / 3.0 + _PARAM_TOL:
         raise ValueError(f"p must lie in [0, 1/3], got {p}")
     p = float(np.clip(p, 0.0, 1.0 / 3.0))
@@ -251,8 +257,7 @@ def _make_mixed_unitary(params: dict) -> _Built:
 
 
 def _make_tetrahedron(params: dict) -> _Built:
-    p = float(params["p"])
-    pp = float(params["p_prime"])
+    p, pp = params["p"], params["p_prime"]
     if p < -_PARAM_TOL or pp < -_PARAM_TOL or p + pp > 0.5 + _PARAM_TOL:
         raise ValueError(f"tetrahedron weights need p, p' >= 0 and p + p' <= 1/2, got ({p}, {pp})")
     p, pp = max(p, 0.0), max(pp, 0.0)
@@ -294,8 +299,7 @@ def _make_tetrahedron(params: dict) -> _Built:
 
 
 def _make_rotation(params: dict) -> _Built:
-    theta = float(params["theta"])
-    axis = np.asarray(params["axis"], dtype=float)
+    theta, axis = params["theta"], params["axis"]
     with np.errstate(over="ignore"):  # an overflowing norm is inf and fails the bound
         norm = float(np.linalg.norm(axis))
     if not abs(norm - 1.0) <= 1e-6:

@@ -35,7 +35,8 @@ from quasinv.documents import (
     parse_channel_document,
 )
 from quasinv.numerics import RngStream, sample_sphere4
-from quasinv.oracle import VerificationReport
+from quasinv.metrics import MC_MAX_SAMPLES, MC_MIN_SAMPLES
+from quasinv.oracle import BRUTE_FORCE_MAX_SAMPLES, BRUTE_FORCE_MIN_SAMPLES, VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -359,6 +360,32 @@ class TestSampleMinimums:
         jsonschema.validate(doc, ERROR_DOCUMENT_SCHEMA)
         assert doc["error"]["code"] == "parse"
         assert argv[2] in doc["error"]["message"]
+
+
+class _UnreadStdin(io.StringIO):
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+
+class TestSampleMaximums:
+    """A sample count past the maximum is a parse error, refused before the document is read."""
+
+    @pytest.mark.parametrize(
+        "command,option,low,high",
+        [
+            ("mstd", "--monte-carlo", MC_MIN_SAMPLES, MC_MAX_SAMPLES),
+            ("verify", "--samples", BRUTE_FORCE_MIN_SAMPLES, BRUTE_FORCE_MAX_SAMPLES),
+        ],
+    )
+    @pytest.mark.parametrize("excess", ["one", "huge"])
+    def test_too_many_samples_exit_2(self, capsys, monkeypatch, command, option, low, high, excess):
+        count = high + 1 if excess == "one" else 10**23
+        monkeypatch.setattr(sys, "stdin", _UnreadStdin())
+        code, out = run_cli(capsys, command, "-", option, str(count))
+        assert code == 2
+        doc = json.loads(out)
+        jsonschema.validate(doc, ERROR_DOCUMENT_SCHEMA)
+        assert doc["error"] == {"code": "parse", "message": f"{option} must be in {low}..{high}, got {count}"}
 
 
 class _ClosedPipe(io.StringIO):

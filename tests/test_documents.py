@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from quasinv import zoo
 from quasinv.channels import CptpReport, KrausChannel, SIGMA_Y
 from quasinv.documents import (
     MSTD_DOCUMENT_SCHEMA,
@@ -17,6 +18,14 @@ from quasinv.documents import (
 )
 from quasinv.metrics import METHODS, MstdReport
 from quasinv.oracle import VerificationReport
+
+FAMILY_DOCUMENTS = [
+    {"type": "pauli", "p": [0.1, 0.6, 0.2, 0.1]},
+    {"type": "gad", "gamma": 0.3, "p": 0.2},
+    {"type": "mixed_unitary", "p": 0.3, "theta": 2.8},
+    {"type": "tetrahedron", "p": 0.1, "p_prime": 0.2},
+    {"type": "unitary", "theta": 1.1, "axis": [0, 0.6, 0.8]},
+]
 
 
 class TestParsing:
@@ -70,6 +79,24 @@ class TestParsing:
     def test_rejects_invalid_family_parameters(self):
         with pytest.raises(DocumentError):
             parse_channel_document({"type": "tetrahedron", "p": 0.4, "p_prime": 0.3})
+
+    @pytest.mark.parametrize("doc", FAMILY_DOCUMENTS, ids=lambda doc: doc["type"])
+    def test_family_parameters_checked_once(self, monkeypatch, doc):
+        # the document parser leaves every family parameter to zoo: one check each
+        checked = []
+        real_values = zoo._real_values
+
+        def spy(parameters, name, components):
+            checked.append(name)
+            return real_values(parameters, name, components)
+
+        monkeypatch.setattr(zoo, "_real_values", spy)
+        parse_channel_document(doc)
+        family = next(f for f in zoo.FAMILY_TABLE if f.doc_type == doc["type"])
+        assert checked == list(family.params)
+
+    def test_family_documents_cover_every_family(self):
+        assert [doc["type"] for doc in FAMILY_DOCUMENTS] == [f.doc_type for f in zoo.FAMILY_TABLE]
 
 
 class TestDumps:

@@ -563,15 +563,21 @@ def raw_arrays():
 def array_outcome(fn, raw, shape):
     try:
         return fn(raw, shape, ARRAY_MESSAGE)
-    except (DocumentError, OverflowError) as exc:
+    except DocumentError as exc:
         return type(exc), str(exc)
+    except OverflowError:  # the reference's bare refusal of an integer no float holds, which _as_array words
+        return DocumentError, "field 'f' holds an integer too large for a float"
+
+
+def as_array_field_f(raw, shape, message):
+    return _as_array(raw, shape, message, "f")
 
 
 class TestDocumentArrays:
     def test_same_arrays_and_refusals(self):
         seen = {"accepted": 0, "refused": 0}
         for raw, shape in raw_arrays():
-            got = array_outcome(_as_array, raw, shape)
+            got = array_outcome(as_array_field_f, raw, shape)
             expected = array_outcome(as_array_reference, raw, shape)
             if isinstance(expected, np.ndarray):
                 assert isinstance(got, np.ndarray) and same_bits(got, expected), raw

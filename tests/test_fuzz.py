@@ -266,7 +266,7 @@ class TestArrayFields:
             (_kraus_text([[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]), _KRAUS_MESSAGE),  # 2x3
             (_kraus_text({"re": 1}), _KRAUS_MESSAGE),
             (_kraus_text([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]).replace("1, 0]]]", _HUGE + ", 0]]]"),
-             "int too large to convert to float"),
+             "field 'operators' holds an integer too large for a float"),
             (_affine_text([[True, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]), _AFFINE_MESSAGE),
             (_affine_text([["0.5", 0, 0], [0, 0.5, 0], [0, 0, 0.5]]), _AFFINE_MESSAGE),
             (_affine_text([[None, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]), _AFFINE_MESSAGE),
@@ -282,8 +282,9 @@ class TestArrayFields:
             # a non-number decides before the huge integer is converted
             (_affine_text([[1, "x", 0], [0, 0.5, 0], [0, 0, 0.5]]).replace("[1,", f"[{_HUGE},"), _AFFINE_MESSAGE),
             (_affine_text([[1, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]).replace("[1,", f"[{_HUGE},"),
-             "int too large to convert to float"),
-            (_affine_text(_M, c=(0, 0, 1)).replace("0, 1]}", f"0, -{_HUGE}]}}"), "int too large to convert to float"),
+             "field 'm' holds an integer too large for a float"),
+            (_affine_text(_M, c=(0, 0, 1)).replace("0, 1]}", f"0, -{_HUGE}]}}"),
+             "field 'c' holds an integer too large for a float"),
         ],
     )
     def test_parse_error(self, capsys, monkeypatch, text, message):
@@ -301,3 +302,68 @@ class TestArrayFields:
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
             assert cli.main(["analyze", "-"]) == 0
             capsys.readouterr()
+
+
+def _family_text(doc, **literals):
+    """A family document's JSON, with each "@name" string replaced by the literal text given for it."""
+    text = json.dumps(doc)
+    for name, literal in literals.items():
+        text = text.replace(f'"@{name}"', literal)
+    return text
+
+
+_GAD = {"type": "gad", "gamma": 0.3, "p": 0.2}
+_AXIS_MESSAGE = "parameter 'axis' needs 3 components [nx, ny, nz]"
+
+
+class TestFamilyParameters:
+    """zoo checks a family document's parameters: each refusal exits 2 and names the parameter."""
+
+    CASES = [
+        (json.dumps({**_GAD, "gamma": True}), "parameter 'gamma' must be a real number, got True"),
+        (json.dumps({"type": "pauli", "p": [0.1, False, 0.2, 0.7]}), "parameter 'p' must be a real number, got False"),
+        (json.dumps({"type": "tetrahedron", "p": 0.1, "p_prime": "0.2"}),
+         "parameter 'p_prime' must be a real number, got '0.2'"),
+        (json.dumps({"type": "mixed_unitary", "p": 0.3, "theta": None}),
+         "parameter 'theta' must be a real number, got None"),
+        (json.dumps({**_GAD, "p": [0.2]}), "parameter 'p' must be a real number, got [0.2]"),
+        (json.dumps({"type": "unitary", "theta": 1.1, "axis": [[0, 0.6, 0.8]]}), _AXIS_MESSAGE),
+        (json.dumps({"type": "unitary", "theta": 1.1, "axis": [[0], [0.6], [0.8]]}),
+         "parameter 'axis' must be a real number, got [0]"),
+        (json.dumps({"type": "unitary", "theta": 1.1, "axis": [0, 0.6]}), _AXIS_MESSAGE),
+        (json.dumps({"type": "pauli", "p": 1}), "parameter 'p' needs 4 components [p0, p1, p2, p3]"),
+        (json.dumps({"type": "gad", "gamma": 0.3}), "channel document is missing field 'p'"),
+        (json.dumps({"type": "unitary", "axis": [0, 0.6, 0.8]}), "channel document is missing field 'theta'"),
+        (json.dumps({**_GAD, "p": float("nan")}), "parameter 'p' must be a finite number"),
+        (_family_text({**_GAD, "gamma": "@x"}, x="1e999"), "parameter 'gamma' must be a finite number"),
+        (_family_text({"type": "pauli", "p": [0.1, 0.6, "@x", 0.1]}, x="-Infinity"),
+         "parameter 'p' must be a finite number"),
+        (_family_text({**_GAD, "gamma": "@x"}, x=_HUGE), "parameter 'gamma' holds an integer too large for a float"),
+        (_family_text({"type": "unitary", "theta": 1.1, "axis": [0, 0.6, "@x"]}, x="-" + _HUGE),
+         "parameter 'axis' holds an integer too large for a float"),
+        # every parameter's type is checked before any is found non-finite
+        (_family_text({"type": "unitary", "theta": "@x", "axis": [0, "1", 0]}, x="NaN"),
+         "parameter 'axis' must be a real number, got '1'"),
+    ]
+
+    @pytest.mark.parametrize("text,message", CASES, ids=[message for _, message in CASES])
+    @pytest.mark.parametrize("command", [["analyze"], ["mstd"], ["verify", "--samples", "10000"]])
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_refused_naming_the_parameter(self, capsys, monkeypatch, text, message, command, fmt):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command[0], "-", *command[1:], "--format", fmt])
+        captured = capsys.readouterr()
+        _check_outcome(code, captured.out, captured.err)
+        assert code == 2
+        assert json.loads(captured.out)["error"]["message"] == message
+        assert captured.err == f"error: {message}\n"
+
+    def test_megabyte_string_echoed_briefly(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({**_GAD, "gamma": "x" * 2**20})))
+        assert cli.main(["analyze", "-"]) == 2
+        captured = capsys.readouterr()
+        message = json.loads(captured.out)["error"]["message"]
+        assert message.startswith("parameter 'gamma' must be a real number, got 'xxx")
+        assert len(message) < 100 and len(captured.out) < 300 and len(captured.err) < 100

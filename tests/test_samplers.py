@@ -16,6 +16,7 @@ import pytest
 
 from quasinv import kraus_to_affine, make, mstd_monte_carlo
 from quasinv.numerics import (
+    MAX_BATCHES,
     RngStream,
     ball_samples,
     map_batches,
@@ -23,7 +24,8 @@ from quasinv.numerics import (
     sphere_samples,
     substream,
 )
-from quasinv.oracle import brute_force_best
+from quasinv.metrics import MC_MAX_SAMPLES
+from quasinv.oracle import BRUTE_FORCE_MAX_SAMPLES, brute_force_best
 from quasinv.zoo import gad_spec
 
 MASK = 2**64 - 1
@@ -174,6 +176,23 @@ class TestWorkerArgument:
         one = mstd_monte_carlo(self.GAD, 40_000, RngStream(2), workers=1)
         two = mstd_monte_carlo(self.GAD, 40_000, RngStream(2), workers=np.int64(2))
         assert (one.value, one.stderr) == (two.value, two.stderr)
+
+
+class TestBatchMaximum:
+    """map_batches refuses more than MAX_BATCHES batches before it draws or runs any."""
+
+    @pytest.mark.parametrize("n", [MAX_BATCHES * 5 + 1, 10**23])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_refused_before_any_batch(self, n, workers):
+        rng = RngStream(3)
+        with pytest.raises(ValueError, match=f"more than {MAX_BATCHES} batches of 5"):
+            map_batches(rng, n, 5, lambda stream, size: pytest.fail("a batch ran"), workers)
+        assert rng.u64() == RngStream(3).u64()  # the base word was not drawn
+
+    def test_maxima_of_the_sampling_commands(self):
+        assert MAX_BATCHES == 2**16
+        assert MC_MAX_SAMPLES == 2**31
+        assert BRUTE_FORCE_MAX_SAMPLES == 2**32
 
 
 class TestPoolSize:

@@ -309,6 +309,8 @@ class TestHandBuiltSpec:
             (FamilySpec("rotation", {"theta": 1.0, "axis": "xyz"}), "axis", "needs 3 components"),
             (FamilySpec("rotation", {"theta": 1.0, "axis": [[0.0, 0.0, 1.0]]}), "axis", "needs 3 components"),
             (FamilySpec("rotation", {"theta": 1.0, "axis": np.eye(3)}), "axis", "must be a real number"),
+            (FamilySpec("gad", {"gamma": 10**400, "p": 0.2}), "gamma", "holds an integer too large for a float"),
+            (FamilySpec("rotation", {"theta": 1.0, "axis": [0, 0, -(10**400)]}), "axis", "holds an integer too large"),
         ],
     )
     @pytest.mark.parametrize("build", [make, channel])
