@@ -175,10 +175,6 @@ class UnitaryParams:
             raise ValueError(f"expected a 4-vector, got shape {x4.shape}")
         return cls(x4[0], x4[1:])
 
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([[self.x0], self.xvec])
-
 
 def unitary_matrix(u: UnitaryParams) -> np.ndarray:
     """The 2x2 matrix x0 I + i (x1 X + x2 Y + x3 Z)."""

@@ -21,12 +21,6 @@ from .zoo import FAMILY_TABLE, Family, FamilySpec, channel
 
 _FAMILY_BY_TYPE = {family.doc_type: family for family in FAMILY_TABLE}
 CHANNEL_TYPES = ("kraus", "affine", *_FAMILY_BY_TYPE)
-# the fields parse_channel_document reads, by document type
-_FIELDS_READ = {
-    "kraus": {"type", "label", "operators"},
-    "affine": {"type", "label", "m", "c"},
-    **{family.doc_type: {"type", "label", *family.params} for family in FAMILY_TABLE},
-}
 
 
 class DocumentError(ValueError):
@@ -101,6 +95,11 @@ CHANNEL_DOCUMENT_SCHEMA = {
         },
         *map(_family_branch, FAMILY_TABLE),
     ],
+}
+# the fields parse_channel_document reads, by document type: those its schema branch declares
+_FIELDS_READ = {
+    branch["properties"]["type"]["const"]: {"label", *branch["properties"]}
+    for branch in CHANNEL_DOCUMENT_SCHEMA["oneOf"]
 }
 
 _JSON_TYPES = {"bool": "boolean", "float": "number", "int": "integer", "str": "string"}
@@ -336,4 +335,6 @@ def _render(obj, indent: int | None, level: int) -> str:
         return _render(float(obj), indent, level)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
+    if isinstance(obj, np.ndarray):  # a vector family parameter given from Python
+        return _render(obj.tolist(), indent, level)
     raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -99,8 +99,8 @@ def mstd_monte_carlo(
     and is identical for any worker count.
     """
     n = int(n)
-    if n < MC_MIN_SAMPLES:
-        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n}")
+    if not MC_MIN_SAMPLES <= n <= MC_MAX_SAMPLES:
+        raise ValueError(f"need {MC_MIN_SAMPLES}..{MC_MAX_SAMPLES} samples, got {n}")
     if region == "ball":
         sampler = ball_samples
         method = METHOD_MC_BALL

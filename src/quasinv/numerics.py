@@ -43,7 +43,7 @@ MAX_BATCHES = 1 << 16
 
 
 class ConvergenceError(RuntimeError):
-    """The eigensolver failed; carries the off-diagonal norm it left unreduced."""
+    """LAPACK's eigensolver failed; carries the off-diagonal norm of the input matrix."""
 
     def __init__(self, residual: float):
         super().__init__(f"eigensolver did not converge, off-diagonal norm {residual:.3e}")

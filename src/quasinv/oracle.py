@@ -78,8 +78,8 @@ def brute_force_best(
     wins, as in one argmax over all samples.
     """
     n = int(n)
-    if n < BRUTE_FORCE_MIN_SAMPLES:
-        raise ValueError(f"need at least {BRUTE_FORCE_MIN_SAMPLES} samples, got {n}")
+    if not BRUTE_FORCE_MIN_SAMPLES <= n <= BRUTE_FORCE_MAX_SAMPLES:
+        raise ValueError(f"need {BRUTE_FORCE_MIN_SAMPLES}..{BRUTE_FORCE_MAX_SAMPLES} samples, got {n}")
     base_value = mstd_analytic(e).value
 
     deltas = _delta_batch(e, _CANONICAL, base_value)

@@ -45,8 +45,7 @@ class FamilySpec:
     parameters: dict
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        _family(self.family)
 
 
 @dataclass(eq=False)
@@ -66,26 +65,6 @@ class GoldenExpectation:
     def __post_init__(self):
         if self.expected_delta is not None and self.expected_delta < 0.0:
             raise ValueError("expected MSTD decrease cannot be negative")
-
-
-def pauli_spec(p0: float, p1: float, p2: float, p3: float) -> FamilySpec:
-    return FamilySpec("pauli", {"p": [p0, p1, p2, p3]})
-
-
-def gad_spec(gamma: float, p: float) -> FamilySpec:
-    return FamilySpec("gad", {"gamma": gamma, "p": p})
-
-
-def mixed_unitary_spec(p: float, theta: float) -> FamilySpec:
-    return FamilySpec("mixed_unitary", {"p": p, "theta": theta})
-
-
-def tetrahedron_spec(p: float, p_prime: float) -> FamilySpec:
-    return FamilySpec("tetrahedron", {"p": p, "p_prime": p_prime})
-
-
-def rotation_spec(theta: float, axis) -> FamilySpec:
-    return FamilySpec("rotation", {"theta": theta, "axis": list(np.asarray(axis, float))})
 
 
 def make(spec: FamilySpec) -> tuple[KrausChannel, GoldenExpectation]:
@@ -145,7 +124,7 @@ def _real_values(parameters: dict, name: str, components: tuple):
 
 def spec_from_values(name: str, values) -> FamilySpec:
     """FamilySpec from a flat list of numbers in the family's argument order."""
-    family = _BY_NAME[name]
+    family = _family(name)
     arity = len(family.arg_names)
     if len(values) != arity:
         raise ValueError(f"family {name!r} takes {arity} parameters, got {len(values)}")
@@ -354,3 +333,10 @@ FAMILY_TABLE = (
 )
 FAMILIES = tuple(family.name for family in FAMILY_TABLE)
 _BY_NAME = {family.name: family for family in FAMILY_TABLE}
+
+
+def _family(name: str) -> Family:
+    """The table row of a family name; a ValueError for any other name."""
+    if name not in _BY_NAME:
+        raise ValueError(f"unknown family {name!r}, expected one of {FAMILIES}")
+    return _BY_NAME[name]

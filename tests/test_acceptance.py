@@ -24,14 +24,7 @@ from quasinv.inverter import build_q, delta_mstd_direct, maximize, quasi_inverse
 from quasinv.metrics import mstd_analytic, mstd_monte_carlo
 from quasinv.numerics import RngStream, eig_sym4, sphere4_samples
 from quasinv.oracle import brute_force_best
-from quasinv.zoo import (
-    gad_spec,
-    make,
-    mixed_unitary_spec,
-    pauli_spec,
-    rotation_spec,
-    tetrahedron_spec,
-)
+from quasinv.zoo import make, spec_from_values
 
 
 @contextmanager
@@ -66,7 +59,7 @@ def test_criterion_1_pauli_golden_suite():
         start = time.perf_counter()
         for probs in grid:
             p = np.asarray(probs)
-            e = affine_of(pauli_spec(*probs))
+            e = affine_of(spec_from_values("pauli", probs))
             qf = build_q(e)
             expected_q = np.diag([0.0, p[1] - p[0], p[2] - p[0], p[3] - p[0]])
             assert np.max(np.abs(qf.q - expected_q)) < 1e-12
@@ -93,7 +86,7 @@ def test_criterion_2_gad_golden_suite():
         for gamma in gammas:
             reference_q = None
             for p in ps:
-                e = affine_of(gad_spec(gamma, p))
+                e = affine_of(spec_from_values("gad", [gamma, p]))
                 qf = build_q(e)
                 if reference_q is None:
                     reference_q = qf.q
@@ -122,14 +115,14 @@ def test_criterion_3_mixed_unitary_golden_suite():
             v = p * np.sin(theta)
             q = 4 * p * np.sin(theta / 2) ** 2 - 1
             lam_expected = 0.5 * (q + np.sqrt(q * q + 3 * v * v))
-            lam, x = maximize(build_q(affine_of(mixed_unitary_spec(p, theta))))
+            lam, x = maximize(build_q(affine_of(spec_from_values("mixed_unitary", [p, theta]))))
             assert lam == pytest.approx(lam_expected, abs=1e-10)
             direction = np.array([3 * v / (2 * lam_expected), 1.0, 1.0, 1.0])
             direction /= np.linalg.norm(direction)
             if direction @ x < 0:
                 direction = -direction
             assert np.max(np.abs(x - direction)) < 1e-8
-            result = quasi_inverse(affine_of(mixed_unitary_spec(p, theta)))
+            result = quasi_inverse(affine_of(spec_from_values("mixed_unitary", [p, theta])))
             assert result.delta_mstd == pytest.approx(0.4 * lam_expected, abs=1e-10)
         assert time.perf_counter() - start < 1.0
 
@@ -144,7 +137,7 @@ def test_criterion_4_tetrahedron_golden_suite():
     with criterion(4, f"tetrahedron golden suite over {len(grid)} points, < 1s"):
         start = time.perf_counter()
         for p, pp in grid:
-            e = affine_of(tetrahedron_spec(p, pp))
+            e = affine_of(spec_from_values("tetrahedron", [p, pp]))
             result = quasi_inverse(e)
             if p >= pp:
                 lam = 2 * pp - 1 + 10 * p / 3
@@ -234,10 +227,10 @@ def test_criterion_8_structural_invariants():
 def test_criterion_9_surface_ball_argmax_invariance():
     with criterion(9, "surface Q = (5/3) ball Q; same maximizer, zoo + 50 random"):
         channels = [
-            affine_of(pauli_spec(0.1, 0.6, 0.2, 0.1)),
-            affine_of(gad_spec(-0.5, 0.3)),
-            affine_of(mixed_unitary_spec(0.3, 2.8)),
-            affine_of(tetrahedron_spec(0.3, 0.1)),
+            affine_of(spec_from_values("pauli", [0.1, 0.6, 0.2, 0.1])),
+            affine_of(spec_from_values("gad", [-0.5, 0.3])),
+            affine_of(spec_from_values("mixed_unitary", [0.3, 2.8])),
+            affine_of(spec_from_values("tetrahedron", [0.3, 0.1])),
         ]
         rng = RngStream(909090)
         channels += [kraus_to_affine(random_channel(rng, 1 + i % 4)) for i in range(50)]
@@ -270,15 +263,15 @@ def test_criterion_10_pauli_coefficient_regression():
             coeff = p - 0.25
             shift = 0.25 - p[0]
             fixture = np.diag(coeff + shift)
-            built = build_q(affine_of(pauli_spec(*probs))).q
+            built = build_q(affine_of(spec_from_values("pauli", probs))).q
             assert np.max(np.abs(built - fixture)) < 1e-14
-            w, _ = eig_sym4(build_q(affine_of(pauli_spec(*probs))).q)
+            w, _ = eig_sym4(build_q(affine_of(spec_from_values("pauli", probs))).q)
             assert w[0] == pytest.approx(max(np.max(p[1:] - p[0]), 0.0), abs=1e-14)
 
 
 def test_acceptance_pipeline_spot_check():
     """End-to-end spot check tying solver, golden data, and oracle together."""
-    k, gold = make(tetrahedron_spec(0.3, 0.1))
+    k, gold = make(spec_from_values("tetrahedron", [0.3, 0.1]))
     e = kraus_to_affine(k)
     result = quasi_inverse(e)
     assert result.delta_mstd == pytest.approx(0.08, abs=1e-12)

@@ -28,12 +28,8 @@ from quasinv.numerics import RngStream, ball_samples, eig_herm4, sphere4_samples
 from quasinv.zoo import (
     FAMILIES,
     GoldenExpectation,
-    gad_spec,
     make,
-    mixed_unitary_spec,
-    pauli_spec,
-    rotation_spec,
-    tetrahedron_spec,
+    spec_from_values,
 )
 
 AXIS_STATES = [
@@ -246,16 +242,16 @@ class TestChoi:
 
 
 ZOO_POINTS = [
-    pauli_spec(0.1, 0.6, 0.2, 0.1),
-    pauli_spec(0.25, 0.25, 0.25, 0.25),
-    gad_spec(-0.5, 0.2),
-    gad_spec(0.3, 1.0),
-    mixed_unitary_spec(0.3, 2.8),
-    mixed_unitary_spec(1.0 / 3.0, 0.4),
-    tetrahedron_spec(0.3, 0.1),
-    tetrahedron_spec(0.25, 0.25),
-    rotation_spec(1.2, [1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0]),
-    rotation_spec(np.pi, [0.0, 0.0, 1.0]),
+    spec_from_values("pauli", [0.1, 0.6, 0.2, 0.1]),
+    spec_from_values("pauli", [0.25, 0.25, 0.25, 0.25]),
+    spec_from_values("gad", [-0.5, 0.2]),
+    spec_from_values("gad", [0.3, 1.0]),
+    spec_from_values("mixed_unitary", [0.3, 2.8]),
+    spec_from_values("mixed_unitary", [1.0 / 3.0, 0.4]),
+    spec_from_values("tetrahedron", [0.3, 0.1]),
+    spec_from_values("tetrahedron", [0.25, 0.25]),
+    spec_from_values("rotation", [1.2, 1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0]),
+    spec_from_values("rotation", [np.pi, 0.0, 0.0, 1.0]),
 ]
 
 

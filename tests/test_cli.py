@@ -234,24 +234,7 @@ class TestZoo:
         assert code == 0
         doc = json.loads(out)
 
-        values = [float(x) for x in params]
-        if family == "rotation":
-            spec = zoo.rotation_spec(values[0], values[1:])
-        else:
-            spec = zoo.FamilySpec(
-                family,
-                dict(
-                    zip(
-                        {
-                            "pauli": ["p"],
-                            "gad": ["gamma", "p"],
-                            "mixed_unitary": ["p", "theta"],
-                            "tetrahedron": ["p", "p_prime"],
-                        }[family],
-                        [values] if family == "pauli" else values,
-                    )
-                ),
-            )
+        spec = zoo.spec_from_values(family, [float(x) for x in params])
         _, gold = zoo.make(spec)
         assert doc["delta_mstd"] == pytest.approx(gold.expected_delta, abs=1e-10)
         if not gold.degenerate:

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from quasinv import zoo
+from quasinv import documents, zoo
 from quasinv.channels import CptpReport, KrausChannel, SIGMA_Y
 from quasinv.documents import (
+    CHANNEL_TYPES,
     MSTD_DOCUMENT_SCHEMA,
     RESULT_DOCUMENT_SCHEMA,
     VERIFICATION_DOCUMENT_SCHEMA,
@@ -15,8 +16,9 @@ from quasinv.documents import (
     dumps,
     kraus_document,
     parse_channel_document,
+    report_document,
 )
-from quasinv.metrics import METHODS, MstdReport
+from quasinv.metrics import METHODS, MstdReport, mstd_analytic
 from quasinv.oracle import VerificationReport
 
 FAMILY_DOCUMENTS = [
@@ -95,11 +97,31 @@ class TestParsing:
         family = next(f for f in zoo.FAMILY_TABLE if f.doc_type == doc["type"])
         assert checked == list(family.params)
 
+    def test_fields_read_are_those_the_schema_declares(self):
+        assert list(documents._FIELDS_READ) == list(CHANNEL_TYPES)
+        assert documents._FIELDS_READ == {
+            "kraus": {"type", "label", "operators"},
+            "affine": {"type", "label", "m", "c"},
+            "pauli": {"type", "label", "p"},
+            "gad": {"type", "label", "gamma", "p"},
+            "mixed_unitary": {"type", "label", "p", "theta"},
+            "tetrahedron": {"type", "label", "p", "p_prime"},
+            "unitary": {"type", "label", "theta", "axis"},
+        }
+
     def test_family_documents_cover_every_family(self):
         assert [doc["type"] for doc in FAMILY_DOCUMENTS] == [f.doc_type for f in zoo.FAMILY_TABLE]
 
 
 class TestDumps:
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_numpy_vector_parameter_echoed_as_a_list(self, indent):
+        def rendered(axis):
+            parsed = parse_channel_document({"type": "unitary", "theta": 1.0, "axis": axis})
+            return dumps(report_document(parsed, "mstd", mstd_analytic(parsed.affine)), indent)
+
+        assert rendered(np.array([0, 0, 1.0])) == rendered([0.0, 0.0, 1.0])
+
     def test_floats_roundtrip(self):
         values = [0.1, 1 / 3, np.sqrt(0.6), 1e-300, -0.0, 123456.789]
         text = dumps({"v": values})

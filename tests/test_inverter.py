@@ -20,14 +20,7 @@ from quasinv.inverter import (
     quasi_inverse,
 )
 from quasinv.numerics import RngStream, sphere4_samples
-from quasinv.zoo import (
-    gad_spec,
-    make,
-    mixed_unitary_spec,
-    pauli_spec,
-    rotation_spec,
-    tetrahedron_spec,
-)
+from quasinv.zoo import make, spec_from_values
 
 PROB_GRID = [
     (0.25, 0.25, 0.25, 0.25),
@@ -47,25 +40,25 @@ def affine_of(spec):
 class TestBuildQ:
     @pytest.mark.parametrize("probs", PROB_GRID)
     def test_pauli_form(self, probs):
-        qf = build_q(affine_of(pauli_spec(*probs)))
+        qf = build_q(affine_of(spec_from_values("pauli", probs)))
         expected = np.diag([0.0] + [probs[i] - probs[0] for i in (1, 2, 3)])
         assert np.max(np.abs(qf.q - expected)) < 1e-12
 
     @pytest.mark.parametrize("gamma", [-1.0, -0.5, -0.1, 0.0, 0.4, 1.0])
     def test_gad_form(self, gamma):
-        qf = build_q(affine_of(gad_spec(gamma, 0.3)))
+        qf = build_q(affine_of(spec_from_values("gad", [gamma, 0.3])))
         g = gamma
         expected = 0.5 * np.diag([0.0, -g * (g + 1), -g * (g + 1), -2 * g])
         assert np.max(np.abs(qf.q - expected)) < 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_gad_p_independence(self, p):
-        reference = build_q(affine_of(gad_spec(-0.6, 0.0))).q
-        assert np.max(np.abs(build_q(affine_of(gad_spec(-0.6, p))).q - reference)) < 1e-12
+        reference = build_q(affine_of(spec_from_values("gad", [-0.6, 0.0]))).q
+        assert np.max(np.abs(build_q(affine_of(spec_from_values("gad", [-0.6, p]))).q - reference)) < 1e-12
 
     @pytest.mark.parametrize("p,theta", [(0.3, 2.8), (0.1, 1.0), (0.33, 0.5), (0.2, 4.0)])
     def test_mixed_unitary_form(self, p, theta):
-        qf = build_q(affine_of(mixed_unitary_spec(p, theta)))
+        qf = build_q(affine_of(spec_from_values("mixed_unitary", [p, theta])))
         v = p * np.sin(theta)
         q = 4 * p * np.sin(theta / 2) ** 2 - 1
         expected = np.zeros((4, 4))
@@ -75,7 +68,7 @@ class TestBuildQ:
 
     @pytest.mark.parametrize("p,pp", [(0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.0, 0.5)])
     def test_tetrahedron_form(self, p, pp):
-        qf = build_q(affine_of(tetrahedron_spec(p, pp)))
+        qf = build_q(affine_of(spec_from_values("tetrahedron", [p, pp])))
         diag = 8 * p / 3 + 8 * pp / 3 - 1
         cross = -2 * p / 3 + 2 * pp / 3
         expected = np.zeros((4, 4))
@@ -86,7 +79,7 @@ class TestBuildQ:
     @pytest.mark.parametrize("theta", [0.3, 1.2, 2.5])
     def test_rotation_form(self, theta):
         axis = np.array([2.0, -1.0, 2.0]) / 3.0
-        qf = build_q(affine_of(rotation_spec(theta, axis)))
+        qf = build_q(affine_of(spec_from_values("rotation", [theta, *axis])))
         s2 = np.sin(theta / 2) ** 2
         eps = 0.5 * axis * np.sin(theta)
         expected = np.zeros((4, 4))
@@ -111,7 +104,7 @@ class TestBuildQ:
 
     def test_rejects_unknown_region(self):
         with pytest.raises(ValueError):
-            build_q(affine_of(pauli_spec(1, 0, 0, 0)), region="shell")
+            build_q(affine_of(spec_from_values("pauli", [1, 0, 0, 0])), region="shell")
 
 
 class TestMaximize:
@@ -131,7 +124,7 @@ class TestMaximize:
         q = 4 * p * np.sin(theta / 2) ** 2 - 1
         assert q == pytest.approx(0.165333, abs=1e-6)
         assert v == pytest.approx(0.100496, abs=1e-6)
-        lam, x = maximize(build_q(affine_of(mixed_unitary_spec(p, theta))))
+        lam, x = maximize(build_q(affine_of(spec_from_values("mixed_unitary", [p, theta]))))
         lam_expected = 0.5 * (q + np.sqrt(q * q + 3 * v * v))
         assert lam == pytest.approx(0.202701, abs=1e-6)
         assert lam == pytest.approx(lam_expected, abs=1e-12)
@@ -148,20 +141,20 @@ class TestMaximize:
 
 class TestQuasiInverse:
     def test_pauli_dominant_x(self):
-        result = quasi_inverse(affine_of(pauli_spec(0.1, 0.6, 0.2, 0.1)))
+        result = quasi_inverse(affine_of(spec_from_values("pauli", [0.1, 0.6, 0.2, 0.1])))
         assert phase_distance(PAULIS[0], result.unitary) < 1e-12
         assert result.delta_mstd == pytest.approx(0.2, abs=1e-12)
         assert not result.trivial
 
     def test_gad_positive_gamma_trivial(self):
         for p in (0.0, 0.5, 1.0):
-            result = quasi_inverse(affine_of(gad_spec(0.3, p)))
+            result = quasi_inverse(affine_of(spec_from_values("gad", [0.3, p])))
             assert result.trivial
             assert np.array_equal(result.unitary, IDENTITY2)
             assert result.delta_mstd == 0.0
 
     def test_rotation_recovers_adjoint(self):
-        k, _ = make(rotation_spec(np.pi / 2, [0.0, 0.0, 1.0]))
+        k, _ = make(spec_from_values("rotation", [np.pi / 2, 0.0, 0.0, 1.0]))
         u = k.operators[0]
         result = quasi_inverse(kraus_to_affine(k))
         assert phase_distance(u.conj().T, result.unitary) < 1e-12
@@ -184,7 +177,7 @@ class TestQuasiInverse:
             assert abs(result.x @ result.x - 1.0) < 1e-12
 
     def test_degenerate_flag_on_tie(self):
-        result = quasi_inverse(affine_of(pauli_spec(0.1, 0.4, 0.4, 0.1)))
+        result = quasi_inverse(affine_of(spec_from_values("pauli", [0.1, 0.4, 0.4, 0.1])))
         assert result.degenerate
         assert result.delta_mstd == pytest.approx(0.4 * 0.3, abs=1e-12)
 
@@ -200,11 +193,11 @@ class TestQuasiInverse:
 
 class TestDeltaDirect:
     def test_identity_unitary(self):
-        e = affine_of(gad_spec(-0.7, 0.1))
+        e = affine_of(spec_from_values("gad", [-0.7, 0.1]))
         assert delta_mstd_direct(e, UnitaryParams(1.0, np.zeros(3))) == 0.0
 
     def test_pauli_example(self):
-        e = affine_of(pauli_spec(0.1, 0.6, 0.2, 0.1))
+        e = affine_of(spec_from_values("pauli", [0.1, 0.6, 0.2, 0.1]))
         u = UnitaryParams(0.0, np.array([1.0, 0.0, 0.0]))
         assert delta_mstd_direct(e, u) == pytest.approx(0.2, abs=1e-14)
 

@@ -19,7 +19,7 @@ from quasinv.metrics import (
     trace_distance,
 )
 from quasinv.numerics import RngStream, ball_samples, sphere4_samples
-from quasinv.zoo import gad_spec, make, rotation_spec
+from quasinv.zoo import make, spec_from_values
 
 DEPOLARIZING = AffineChannel(np.zeros((3, 3)), np.zeros(3))
 
@@ -57,7 +57,7 @@ class TestAnalytic:
 
     @pytest.mark.parametrize("theta", [0.0, 0.4, np.pi / 2, 2.0, np.pi])
     def test_rotation(self, theta):
-        k, _ = make(rotation_spec(theta, [0.0, 1.0, 0.0]))
+        k, _ = make(spec_from_values("rotation", [theta, 0.0, 1.0, 0.0]))
         value = mstd_analytic(kraus_to_affine(k)).value
         assert value == pytest.approx(0.4 * np.sin(theta / 2) ** 2, abs=1e-14)
 
@@ -67,14 +67,14 @@ class TestAnalytic:
 
 class TestComposed:
     def test_identity_corrector(self):
-        e = kraus_to_affine(make(gad_spec(-0.5, 0.3))[0])
+        e = kraus_to_affine(make(spec_from_values("gad", [-0.5, 0.3]))[0])
         assert mstd_composed(identity_channel(), e).value == pytest.approx(
             mstd_analytic(e).value, abs=1e-15
         )
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
     def test_sigma_z_after_gad(self, p):
-        e = kraus_to_affine(make(gad_spec(-0.5, p))[0])
+        e = kraus_to_affine(make(spec_from_values("gad", [-0.5, p]))[0])
         flip_z = unitary_to_affine(UnitaryParams(0.0, np.array([0.0, 0.0, 1.0])))
         gain = mstd_analytic(e).value - mstd_composed(flip_z, e).value
         assert gain == pytest.approx(0.2, abs=1e-14)
@@ -147,7 +147,7 @@ class TestMonteCarlo:
             mstd_monte_carlo(DEPOLARIZING, 2000, RngStream(0), region="shell")
 
     def test_worker_count_invariance(self):
-        e = kraus_to_affine(make(gad_spec(-0.4, 0.8))[0])
+        e = kraus_to_affine(make(spec_from_values("gad", [-0.4, 0.8]))[0])
         one = mstd_monte_carlo(e, 100_000, RngStream(409), workers=1)
         four = mstd_monte_carlo(e, 100_000, RngStream(409), workers=4)
         assert one.value == four.value

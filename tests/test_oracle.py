@@ -13,7 +13,7 @@ from quasinv.channels import (
 from quasinv.inverter import delta_mstd_direct, quasi_inverse
 from quasinv.numerics import RngStream, sphere4_samples
 from quasinv.oracle import brute_force_best, verify
-from quasinv.zoo import make, pauli_spec, tetrahedron_spec
+from quasinv.zoo import make, spec_from_values
 
 
 class TestBruteForceBest:
@@ -22,7 +22,7 @@ class TestBruteForceBest:
         assert abs(best) <= 1e-12
 
     def test_pauli_optimum_hit_exactly(self):
-        e = kraus_to_affine(make(pauli_spec(0.1, 0.6, 0.2, 0.1))[0])
+        e = kraus_to_affine(make(spec_from_values("pauli", [0.1, 0.6, 0.2, 0.1]))[0])
         x, best = brute_force_best(e, 100_000, RngStream(2))
         assert 0.2 - 1e-3 <= best <= 0.2 + 1e-12
         # the canonical +-e1 candidate lands on the optimum exactly
@@ -71,7 +71,7 @@ class TestBruteForceBest:
 
 class TestVerify:
     def test_zoo_tetrahedron_passes(self):
-        e = kraus_to_affine(make(tetrahedron_spec(0.3, 0.1))[0])
+        e = kraus_to_affine(make(spec_from_values("tetrahedron", [0.3, 0.1]))[0])
         result = quasi_inverse(e)
         report = verify(e, result, 100_000, RngStream(7), channel_id="tetra(0.3, 0.1)")
         assert report.passed
@@ -80,7 +80,7 @@ class TestVerify:
         assert report.n_samples == 100_000
 
     def test_corrupted_result_fails(self):
-        e = kraus_to_affine(make(tetrahedron_spec(0.3, 0.1))[0])
+        e = kraus_to_affine(make(spec_from_values("tetrahedron", [0.3, 0.1]))[0])
         result = quasi_inverse(e)
         corrupted = dataclasses.replace(result, delta_mstd=result.delta_mstd / 2)
         report = verify(e, corrupted, 100_000, RngStream(8))

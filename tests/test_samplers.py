@@ -14,7 +14,7 @@ import struct
 import numpy as np
 import pytest
 
-from quasinv import kraus_to_affine, make, mstd_monte_carlo
+from quasinv import kraus_to_affine, make, mstd_monte_carlo, oracle
 from quasinv.numerics import (
     MAX_BATCHES,
     RngStream,
@@ -24,9 +24,9 @@ from quasinv.numerics import (
     sphere_samples,
     substream,
 )
-from quasinv.metrics import MC_MAX_SAMPLES
-from quasinv.oracle import BRUTE_FORCE_MAX_SAMPLES, brute_force_best
-from quasinv.zoo import gad_spec
+from quasinv.metrics import MC_MAX_SAMPLES, MC_MIN_SAMPLES
+from quasinv.oracle import BRUTE_FORCE_MAX_SAMPLES, BRUTE_FORCE_MIN_SAMPLES, brute_force_best
+from quasinv.zoo import spec_from_values
 
 MASK = 2**64 - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -154,14 +154,14 @@ class TestSamplerGolden:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_monte_carlo_bytes(self, region, digest, workers):
         # three batches, the last of one sample
-        e = kraus_to_affine(make(gad_spec(0.3, 0.2))[0])
+        e = kraus_to_affine(make(spec_from_values("gad", [0.3, 0.2]))[0])
         report = mstd_monte_carlo(e, 2 * 32768 + 1, RngStream(21), region, workers=workers)
         assert report.n_samples == 2 * 32768 + 1
         assert hashlib.sha256(struct.pack("<dd", report.value, report.stderr)).hexdigest() == digest
 
 
 class TestWorkerArgument:
-    GAD = kraus_to_affine(make(gad_spec(0.3, 0.2))[0])
+    GAD = kraus_to_affine(make(spec_from_values("gad", [0.3, 0.2]))[0])
 
     @pytest.mark.parametrize(
         "workers,error", [(0, ValueError), (-3, ValueError), (2.5, TypeError), (True, TypeError)]
@@ -193,6 +193,28 @@ class TestBatchMaximum:
         assert MAX_BATCHES == 2**16
         assert MC_MAX_SAMPLES == 2**31
         assert BRUTE_FORCE_MAX_SAMPLES == 2**32
+
+
+class TestSampleRange:
+    """The samplers refuse a sample count out of range at entry, before any draw or closed form."""
+
+    GAD = TestWorkerArgument.GAD
+
+    @pytest.mark.parametrize("n", [MC_MIN_SAMPLES - 1, MC_MAX_SAMPLES + 1, 10**23])
+    def test_monte_carlo(self, n):
+        rng = RngStream(1)
+        with pytest.raises(ValueError, match=rf"^need {MC_MIN_SAMPLES}\.\.{MC_MAX_SAMPLES} samples, got {n}$"):
+            mstd_monte_carlo(self.GAD, n, rng)
+        assert rng.u64() == RngStream(1).u64()  # the base word was not drawn
+
+    @pytest.mark.parametrize("n", [BRUTE_FORCE_MIN_SAMPLES - 1, BRUTE_FORCE_MAX_SAMPLES + 1, 10**23])
+    def test_brute_force(self, monkeypatch, n):
+        monkeypatch.setattr(oracle, "mstd_analytic", lambda e: pytest.fail("mstd_analytic ran"))
+        rng = RngStream(1)
+        low, high = BRUTE_FORCE_MIN_SAMPLES, BRUTE_FORCE_MAX_SAMPLES
+        with pytest.raises(ValueError, match=rf"^need {low}\.\.{high} samples, got {n}$"):
+            brute_force_best(self.GAD, n, rng)
+        assert rng.u64() == RngStream(1).u64()
 
 
 class TestPoolSize:

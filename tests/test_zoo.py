@@ -17,13 +17,8 @@ from quasinv.zoo import (
     FamilySpec,
     GoldenExpectation,
     channel,
-    gad_spec,
     make,
-    mixed_unitary_spec,
-    pauli_spec,
-    rotation_spec,
     spec_from_values,
-    tetrahedron_spec,
 )
 
 
@@ -45,7 +40,7 @@ def check_golden(spec, tol_v=1e-9, tol_delta=1e-10):
 
 class TestPauli:
     def test_identity_point(self):
-        kraus, gold, result = check_golden(pauli_spec(1.0, 0.0, 0.0, 0.0))
+        kraus, gold, result = check_golden(spec_from_values("pauli", [1.0, 0.0, 0.0, 0.0]))
         assert result.trivial
         assert np.array_equal(result.unitary, IDENTITY2)
         assert gold.expected_delta == 0.0
@@ -59,45 +54,45 @@ class TestPauli:
         ],
     )
     def test_dominant_axes(self, probs, expect_i):
-        _, gold, result = check_golden(pauli_spec(*probs))
+        _, gold, result = check_golden(spec_from_values("pauli", probs))
         assert phase_distance(PAULIS[expect_i], result.unitary) < 1e-12
         assert gold.expected_delta == pytest.approx(0.4 * (0.6 - 0.1), abs=1e-15)
 
     def test_affine_matches_closed_form(self):
         probs = (0.2, 0.3, 0.4, 0.1)
-        e = kraus_to_affine(make(pauli_spec(*probs))[0])
+        e = kraus_to_affine(make(spec_from_values("pauli", probs))[0])
         alpha = lambda i, j: 1 - 2 * probs[i] - 2 * probs[j]
         assert np.allclose(e.m, np.diag([alpha(2, 3), alpha(1, 3), alpha(1, 2)]), atol=1e-14)
         assert np.allclose(e.c, 0.0, atol=1e-15)
 
     def test_tie_accepts_any_optimal_axis(self):
-        check_golden(pauli_spec(0.1, 0.4, 0.4, 0.1))
+        check_golden(spec_from_values("pauli", [0.1, 0.4, 0.4, 0.1]))
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
-            make(pauli_spec(0.5, 0.5, 0.5, -0.5))
+            make(spec_from_values("pauli", [0.5, 0.5, 0.5, -0.5]))
         with pytest.raises(ValueError):
-            make(pauli_spec(0.4, 0.4, 0.4, 0.4))
+            make(spec_from_values("pauli", [0.4, 0.4, 0.4, 0.4]))
 
 
 class TestGad:
     @pytest.mark.parametrize("gamma", [-1.0, -0.75, -0.5, -0.25])
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_negative_gamma(self, gamma, p):
-        _, gold, result = check_golden(gad_spec(gamma, p))
+        _, gold, result = check_golden(spec_from_values("gad", [gamma, p]))
         assert phase_distance(PAULIS[2], result.unitary) < 1e-12
         assert gold.expected_delta == pytest.approx(-0.4 * gamma, abs=1e-15)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.75, 1.0])
     def test_positive_gamma_no_inverse(self, gamma):
-        _, _, result = check_golden(gad_spec(gamma, 0.2))
+        _, _, result = check_golden(spec_from_values("gad", [gamma, 0.2]))
         assert result.trivial
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            make(gad_spec(1.5, 0.2))
+            make(spec_from_values("gad", [1.5, 0.2]))
         with pytest.raises(ValueError):
-            make(gad_spec(0.5, -0.1))
+            make(spec_from_values("gad", [0.5, -0.1]))
 
 
 class TestMixedUnitary:
@@ -105,14 +100,14 @@ class TestMixedUnitary:
     def test_q_nonnegative_regime(self, p, theta):
         q = 4 * p * np.sin(theta / 2) ** 2 - 1
         assert q >= 0  # grid sanity
-        kraus, gold, result = check_golden(mixed_unitary_spec(p, theta))
+        kraus, gold, result = check_golden(spec_from_values("mixed_unitary", [p, theta]))
         v = p * np.sin(theta)
         lam = 0.5 * (q + np.sqrt(q * q + 3 * v * v))
         assert gold.expected_delta == pytest.approx(0.4 * lam, abs=1e-15)
 
     def test_expected_unitary_structure(self):
         # V = exp(i phi n.sigma) along the diagonal axis
-        kraus, gold = make(mixed_unitary_spec(0.3, 2.8))
+        kraus, gold = make(spec_from_values("mixed_unitary", [0.3, 2.8]))
         v = 0.3 * np.sin(2.8)
         q = 4 * 0.3 * np.sin(1.4) ** 2 - 1
         lam = 0.5 * (q + np.sqrt(q * q + 3 * v * v))
@@ -127,7 +122,7 @@ class TestMixedUnitary:
     @pytest.mark.parametrize("p,theta", [(0.05, 0.5), (0.2, 0.8), (1.0 / 3.0, 1.5)])
     def test_q_negative_regime_against_brute_force(self, p, theta):
         assert 4 * p * np.sin(theta / 2) ** 2 - 1 < 0  # grid sanity
-        kraus, gold = make(mixed_unitary_spec(p, theta))
+        kraus, gold = make(spec_from_values("mixed_unitary", [p, theta]))
         assert gold.expected_unitary is None and gold.expected_delta is None
         e = kraus_to_affine(kraus)
         result = quasi_inverse(e)
@@ -139,24 +134,24 @@ class TestMixedUnitary:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            make(mixed_unitary_spec(0.4, 1.0))
+            make(spec_from_values("mixed_unitary", [0.4, 1.0]))
 
 
 class TestTetrahedron:
     def test_example_point(self):
-        kraus, gold, result = check_golden(tetrahedron_spec(0.3, 0.1))
+        kraus, gold, result = check_golden(spec_from_values("tetrahedron", [0.3, 0.1]))
         expected_v = (PAULIS[0] - PAULIS[1]) / np.sqrt(2)
         assert phase_distance(expected_v, result.unitary) < 1e-12
         assert gold.expected_delta == pytest.approx(0.08, abs=1e-15)
 
     def test_mirror_point(self):
-        kraus, gold, result = check_golden(tetrahedron_spec(0.1, 0.3))
+        kraus, gold, result = check_golden(spec_from_values("tetrahedron", [0.1, 0.3]))
         expected_v = (PAULIS[0] + PAULIS[1]) / np.sqrt(2)
         assert phase_distance(expected_v, result.unitary) < 1e-12
         assert gold.expected_delta == pytest.approx(0.08, abs=1e-15)
 
     def test_tie_both_branches_optimal(self):
-        kraus, gold, result = check_golden(tetrahedron_spec(0.25, 0.25))
+        kraus, gold, result = check_golden(spec_from_values("tetrahedron", [0.25, 0.25]))
         e = kraus_to_affine(kraus)
         for sign in (+1.0, -1.0):
             x = np.array([0.0, 1.0, sign, 0.0]) / np.sqrt(2)
@@ -164,12 +159,12 @@ class TestTetrahedron:
             assert achieved == pytest.approx(gold.expected_delta, abs=1e-12)
 
     def test_no_inverse_region(self):
-        _, gold, result = check_golden(tetrahedron_spec(0.05, 0.05))
+        _, gold, result = check_golden(spec_from_values("tetrahedron", [0.05, 0.05]))
         assert result.trivial and gold.expected_delta == 0.0
 
     def test_affine_matches_closed_form(self):
         p, pp = 0.3, 0.1
-        e = kraus_to_affine(make(tetrahedron_spec(p, pp))[0])
+        e = kraus_to_affine(make(spec_from_values("tetrahedron", [p, pp]))[0])
         t = 1 - 8 * p / 3 - 8 * pp / 3
         s = -4 * p / 3 + 4 * pp / 3
         expected = np.array([[t, s, 0.0], [s, t, 0.0], [0.0, 0.0, t]])
@@ -178,21 +173,21 @@ class TestTetrahedron:
 
     def test_rejects_over_normalized(self):
         with pytest.raises(ValueError):
-            make(tetrahedron_spec(0.3, 0.3))
+            make(spec_from_values("tetrahedron", [0.3, 0.3]))
 
 
 class TestRotation:
     @pytest.mark.parametrize("theta", [0.0, 0.7, np.pi / 2, np.pi, 5.0])
     def test_adjoint_recovery(self, theta):
         axis = np.array([1.0, 2.0, -2.0]) / 3.0
-        kraus, gold, result = check_golden(rotation_spec(theta, axis))
+        kraus, gold, result = check_golden(spec_from_values("rotation", [theta, *axis]))
         assert result.mstd_after < 1e-12
         assert gold.expected_delta == pytest.approx(0.4 * np.sin(theta / 2) ** 2, abs=1e-15)
         assert phase_distance(kraus.operators[0].conj().T, result.unitary) < 1e-9
 
     def test_mixed_unitary_affine_matches_closed_form(self):
         p, theta = 0.2, 1.3
-        e = kraus_to_affine(make(mixed_unitary_spec(p, theta))[0])
+        e = kraus_to_affine(make(spec_from_values("mixed_unitary", [p, theta]))[0])
         v = p * np.sin(theta)
         q = 4 * p * np.sin(theta / 2) ** 2 - 1
         expected = np.array([[-q, -v, v], [v, -q, -v], [-v, v, -q]])
@@ -200,17 +195,17 @@ class TestRotation:
 
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError):
-            make(rotation_spec(1.0, [1.0, 1.0, 0.0]))
+            make(spec_from_values("rotation", [1.0, 1.0, 1.0, 0.0]))
 
 
 class TestFamilyPlumbing:
     def test_all_families_pass_cptp(self):
         specs = [
-            pauli_spec(0.4, 0.3, 0.2, 0.1),
-            gad_spec(-0.7, 0.25),
-            mixed_unitary_spec(0.3, 2.0),
-            tetrahedron_spec(0.2, 0.15),
-            rotation_spec(1.1, [0.0, 1.0, 0.0]),
+            spec_from_values("pauli", [0.4, 0.3, 0.2, 0.1]),
+            spec_from_values("gad", [-0.7, 0.25]),
+            spec_from_values("mixed_unitary", [0.3, 2.0]),
+            spec_from_values("tetrahedron", [0.2, 0.15]),
+            spec_from_values("rotation", [1.1, 0.0, 1.0, 0.0]),
         ]
         for spec in specs:
             kraus, _ = make(spec)
@@ -220,6 +215,18 @@ class TestFamilyPlumbing:
         with pytest.raises(ValueError):
             FamilySpec("squeeze", {})
 
+    def test_spec_from_values_refuses_unknown_family(self):
+        with pytest.raises(ValueError, match=r"^unknown family 'nope', expected one of \("):
+            spec_from_values("nope", [1])
+
+    @pytest.mark.parametrize(
+        "name,values,arity",
+        [("pauli", [0.25] * 3, 4), ("gad", [0.1, 0.2, 0.3], 2), ("rotation", [1.0, 0.0, 1.0], 4)],
+    )
+    def test_spec_from_values_refuses_wrong_count(self, name, values, arity):
+        with pytest.raises(ValueError, match=rf"^family '{name}' takes {arity} parameters, got {len(values)}$"):
+            spec_from_values(name, values)
+
     def test_expectation_rejects_negative_delta(self):
         with pytest.raises(ValueError):
             GoldenExpectation(expected_unitary=IDENTITY2, expected_delta=-0.1)
@@ -228,11 +235,11 @@ class TestFamilyPlumbing:
         from quasinv.inverter import build_q
 
         specs = [
-            pauli_spec(0.4, 0.3, 0.2, 0.1),
-            gad_spec(-0.7, 0.25),
-            mixed_unitary_spec(0.3, 2.0),
-            tetrahedron_spec(0.2, 0.15),
-            rotation_spec(1.1, [0.6, 0.0, 0.8]),
+            spec_from_values("pauli", [0.4, 0.3, 0.2, 0.1]),
+            spec_from_values("gad", [-0.7, 0.25]),
+            spec_from_values("mixed_unitary", [0.3, 2.0]),
+            spec_from_values("tetrahedron", [0.2, 0.15]),
+            spec_from_values("rotation", [1.1, 0.6, 0.0, 0.8]),
         ]
         for spec in specs:
             kraus, gold = make(spec)
@@ -244,7 +251,7 @@ class TestFamilyPlumbing:
         from quasinv.channels import compose, unitary_to_affine
         from quasinv.metrics import mstd_monte_carlo
 
-        kraus, gold = make(tetrahedron_spec(0.3, 0.1))
+        kraus, gold = make(spec_from_values("tetrahedron", [0.3, 0.1]))
         e = kraus_to_affine(kraus)
         result = quasi_inverse(e)
         before = mstd_monte_carlo(e, 400_000, RngStream(611))
@@ -332,7 +339,7 @@ class TestHandBuiltSpec:
             FamilySpec("pauli", {"p": np.array([0.4, 0.3, 0.2, 0.1])}),
             FamilySpec("gad", {"gamma": np.float64(-0.5), "p": 1}),
             FamilySpec("rotation", {"theta": np.int64(1), "axis": [0, 0, 1]}),
-            rotation_spec(1.0, [0.0, 0.6, 0.8]),
+            spec_from_values("rotation", [1.0, 0.0, 0.6, 0.8]),
         ],
     )
     def test_real_numbers_of_any_type_accepted(self, spec):
