@@ -67,7 +67,6 @@ def _parse_args(argv: list) -> argparse.Namespace:
     if argv and argv[0] in commands:
         args, extras = commands[argv[0]].parse_known_args(argv[1:])
         if not extras:
-            args.command = argv[0]
             return args
     return parser.parse_args(argv)
 

@@ -17,7 +17,7 @@ from .channels import AffineChannel, CptpReport, KrausChannel, kraus_to_affine
 from .inverter import QForm, QuasiInverseResult
 from .metrics import METHODS, MstdReport
 from .oracle import VerificationReport
-from .zoo import FAMILY_TABLE, Family, FamilySpec, channel
+from .zoo import FAMILY_TABLE, FamilySpec, channel
 
 _FAMILY_BY_TYPE = {family.doc_type: family for family in FAMILY_TABLE}
 CHANNEL_TYPES = ("kraus", "affine", *_FAMILY_BY_TYPE)
@@ -47,33 +47,22 @@ _COMPLEX = {
     "minItems": 2,
     "maxItems": 2,
 }
-_CMATRIX2 = {
-    "type": "array",
-    "minItems": 2,
-    "maxItems": 2,
-    "items": {"type": "array", "minItems": 2, "maxItems": 2, "items": _COMPLEX},
-}
 
 
-def _rvector(n: int) -> dict:
-    return {"type": "array", "minItems": n, "maxItems": n, "items": {"type": "number"}}
+def _array(items: dict, n: int) -> dict:
+    """Schema of an array of exactly n items."""
+    return {"type": "array", "minItems": n, "maxItems": n, "items": items}
 
 
-_RVECTOR3 = _rvector(3)
-_RMATRIX3 = {"type": "array", "minItems": 3, "maxItems": 3, "items": _RVECTOR3}
-_RMATRIX4 = {"type": "array", "minItems": 4, "maxItems": 4, "items": _rvector(4)}
+def _branch(doc_type: str, /, **fields) -> dict:
+    """A CHANNEL_DOCUMENT_SCHEMA branch: the document type and its fields, all required."""
+    return {"properties": {"type": {"const": doc_type}, **fields}, "required": ["type", *fields]}
 
 
-def _family_branch(family: Family) -> dict:
-    fields = {
-        name: _rvector(len(components)) if components else {"type": "number"}
-        for name, components in family.params.items()
-    }
-    return {
-        "properties": {"type": {"const": family.doc_type}, **fields},
-        "required": ["type", *family.params],
-    }
-
+_CMATRIX2 = _array(_array(_COMPLEX, 2), 2)
+_RVECTOR3 = _array({"type": "number"}, 3)
+_RMATRIX3 = _array(_RVECTOR3, 3)
+_RMATRIX4 = _array(_array({"type": "number"}, 4), 4)
 
 CHANNEL_DOCUMENT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -82,18 +71,12 @@ CHANNEL_DOCUMENT_SCHEMA = {
     "required": ["type"],
     "properties": {"label": {"type": "string"}},
     "oneOf": [
-        {
-            "properties": {
-                "type": {"const": "kraus"},
-                "operators": {"type": "array", "minItems": 1, "items": _CMATRIX2},
-            },
-            "required": ["type", "operators"],
-        },
-        {
-            "properties": {"type": {"const": "affine"}, "m": _RMATRIX3, "c": _RVECTOR3},
-            "required": ["type", "m", "c"],
-        },
-        *map(_family_branch, FAMILY_TABLE),
+        _branch("kraus", operators={"type": "array", "minItems": 1, "items": _CMATRIX2}),
+        _branch("affine", m=_RMATRIX3, c=_RVECTOR3),
+        *[_branch(family.doc_type, **{
+            name: _array({"type": "number"}, len(components)) if components else {"type": "number"}
+            for name, components in family.params.items()
+        }) for family in FAMILY_TABLE],
     ],
 }
 # the fields parse_channel_document reads, by document type: those its schema branch declares
@@ -145,7 +128,7 @@ _SOLVER_SCHEMAS = {
     "mstd_before": {"type": "number"},
     "q_matrix": _RMATRIX4,
     "lambda_max": {"type": "number"},
-    "quasi_inverse": _object({"x": _rvector(4), "matrix": _CMATRIX2}),
+    "quasi_inverse": _object({"x": _array({"type": "number"}, 4), "matrix": _CMATRIX2}),
     "delta_mstd": {"type": "number"},
     "mstd_after": {"type": "number"},
     "trivial": {"type": "boolean"},

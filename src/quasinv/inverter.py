@@ -7,9 +7,9 @@ after a channel (M, c) is a quadratic form on the unit 3-sphere,
 
 with Q00 = 0, Q0i = -a_i/4 where a is the axial vector of M
 (a = (M23-M32, M31-M13, M12-M21)), and Q_ij = (sym(M)_ij - Tr(M) d_ij)/2.
-The translation c never enters: the rotation of the composed map
-preserves |c|. Maximizing the form is the eigenproblem of Q; the top
-eigenvector is the quasi-inverse and the decrease is (2/5) lambda_max.
+The translation c never enters: inputs average to 0 over the ball and its
+surface, so c adds |c|^2/4, and the rotation preserves |c|. The top
+eigenvector of Q is the quasi-inverse and the decrease is (2/5) lambda_max.
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ from .channels import (
     unitary_to_affine,
     validate_cptp,
 )
-from .metrics import _closed_form, mstd_analytic, mstd_composed
+from .metrics import _closed_form, _region, mstd_analytic, mstd_composed
 from .numerics import eig_sym4, eigh_desc
 
 TRIVIAL_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
 
-# Ratio of the surface-moment form to the ball-moment form: (1/12)/(1/20).
-_SURFACE_SCALE = 5.0 / 3.0
 _UPPER_TRIANGLE = [(i, j) for i in range(4) for j in range(i, 4)]
 
 
@@ -75,8 +73,7 @@ def build_q(e: AffineChannel, region: str = "ball") -> QForm:
     With region="surface" the averaging moments change and the form is the
     ball form scaled by 5/3; the maximizer is unchanged.
     """
-    if region not in ("ball", "surface"):
-        raise ValueError(f"region must be 'ball' or 'surface', got {region!r}")
+    denominator = _region(region)[0]
     # 0.5 * (sym(m) - Tr(m) I) in Python floats, in numpy's order down to signed zeros: np.trace
     # sums ((0 + m00) + m11) + m22, and Tr(m) * 0 is subtracted off the diagonal
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = e.m.tolist()
@@ -86,8 +83,8 @@ def build_q(e: AffineChannel, region: str = "ball") -> QForm:
     d1, d2, d3 = [0.5 * (0.5 * (x + x) - t) for x in (m00, m11, m22)]
     s12, s13, s23 = [0.5 * (0.5 * s - z) for s in (m01 + m10, m02 + m20, m12 + m21)]
     q = [[0.0, a1, a2, a3], [a1, d1, s12, s13], [a2, s12, d2, s23], [a3, s13, s23, d3]]
-    if region == "surface":
-        q = [[x * _SURFACE_SCALE for x in row] for row in q]
+    if denominator != 20.0:  # the surface: its moments scale the ball form by 20 / 12
+        q = [[x * (20.0 / denominator) for x in row] for row in q]
     return QForm(np.array(q))
 
 
@@ -113,11 +110,14 @@ def delta_mstd_direct(e: AffineChannel, u: UnitaryParams) -> float:
 def quasi_inverse(e: AffineChannel) -> QuasiInverseResult:
     """Best unitary to undo a channel in the ball-averaged MSTD sense.
 
-    Raises ValueError when the channel fails the CPTP check. A top
-    eigenvalue at or below 1e-12 clamps to the trivial result V = I; the
-    degenerate flag marks a top eigenvalue within 1e-10 of the next one,
-    in which case the returned maximizer is one of several optima.
+    Raises TypeError for anything but an AffineChannel, and ValueError
+    when the channel fails the CPTP check. A top eigenvalue at or below
+    1e-12 clamps to the trivial result V = I; the degenerate flag marks a
+    top eigenvalue within 1e-10 of the next one, in which case the
+    returned maximizer is one of several optima.
     """
+    if not isinstance(e, AffineChannel):
+        raise TypeError(f"quasi_inverse takes an AffineChannel (see kraus_to_affine), got {type(e).__name__}")
     report = validate_cptp(e)
     if not report.passed:
         raise ValueError(

@@ -13,6 +13,7 @@ same measures.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,15 @@ def trace_distance(r, z) -> float:
     r = check_bloch(r)
     z = check_bloch(z)
     return 0.5 * float(np.linalg.norm(r - z))
+
+
+def _region(region: str) -> tuple:
+    """The closed form's denominator, the sampler and the Monte Carlo method of a region."""
+    if region == "ball":
+        return 20.0, ball_samples, METHOD_MC_BALL
+    if region == "surface":
+        return 12.0, sphere_samples, METHOD_MC_SURFACE
+    raise ValueError(f"region must be 'ball' or 'surface', got {region!r}")
 
 
 def mstd_analytic(e: AffineChannel) -> MstdReport:
@@ -98,17 +108,10 @@ def mstd_monte_carlo(
     one draw of ``rng``, so the result depends only on (seed, n, region)
     and is identical for any worker count.
     """
-    n = int(n)
+    n = operator.index(n)
     if not MC_MIN_SAMPLES <= n <= MC_MAX_SAMPLES:
         raise ValueError(f"need {MC_MIN_SAMPLES}..{MC_MAX_SAMPLES} samples, got {n}")
-    if region == "ball":
-        sampler = ball_samples
-        method = METHOD_MC_BALL
-    elif region == "surface":
-        sampler = sphere_samples
-        method = METHOD_MC_SURFACE
-    else:
-        raise ValueError(f"region must be 'ball' or 'surface', got {region!r}")
+    _, sampler, method = _region(region)
 
     def run_batch(stream: RngStream, size: int) -> tuple[float, float]:
         pts = sampler(stream, size)

@@ -10,6 +10,7 @@ meaningful evidence.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ VIOLATION_TOL = 1e-9
 _NEARNESS_REL = 0.01
 _NEARNESS_FLOOR = 0.01
 
-# (x0, x) = +-e_i; the +-e0 pair is the identity, the others the Pauli axes.
-_CANONICAL = np.concatenate([np.eye(4), -np.eye(4)])
+# (x0, x) = e_i, the identity and the Pauli axes; -e_i would give bitwise the same rotation and delta
+_CANONICAL = np.eye(4)
 
 
 @dataclass
@@ -70,14 +71,14 @@ def _delta_batch(e: AffineChannel, xs: np.ndarray, base_value: float) -> np.ndar
 def brute_force_best(
     e: AffineChannel, n: int, rng: RngStream, workers: int = 1
 ) -> tuple[np.ndarray, float]:
-    """Best (x, delta) over n random unit 4-vectors plus the 8 axis candidates.
+    """Best (x, delta) over n random unit 4-vectors plus the 4 axis candidates.
 
     Samples come from substreams derived from one draw of ``rng`` in fixed
     batches, so the result is independent of the worker count. Each batch
     is drawn and evaluated in chunks of ``_CHUNK`` rows; the first maximum
     wins, as in one argmax over all samples.
     """
-    n = int(n)
+    n = operator.index(n)
     if not BRUTE_FORCE_MIN_SAMPLES <= n <= BRUTE_FORCE_MAX_SAMPLES:
         raise ValueError(f"need {BRUTE_FORCE_MIN_SAMPLES}..{BRUTE_FORCE_MAX_SAMPLES} samples, got {n}")
     base_value = mstd_analytic(e).value
@@ -129,7 +130,7 @@ def verify(
         channel_id=channel_id,
         solver_delta=solver_delta,
         best_sampled_delta=float(best_delta),
-        n_samples=int(n),
+        n_samples=n,
         max_violation=float(max_violation),
         passed=bool(passed),
     )

@@ -165,6 +165,16 @@ class TestQuasiInverse:
         with pytest.raises(ValueError, match="CPTP"):
             quasi_inverse(AffineChannel(np.diag([1.0, 1.0, -1.0]), np.zeros(3)))
 
+    def test_rejects_kraus_channel_before_any_check(self, monkeypatch):
+        import quasinv.inverter as inverter
+
+        def no_check(e):
+            raise AssertionError("validate_cptp ran")
+
+        monkeypatch.setattr(inverter, "validate_cptp", no_check)
+        with pytest.raises(TypeError, match="kraus_to_affine"):
+            quasi_inverse(random_channel(RngStream(1), 2))
+
     def test_bookkeeping_invariants(self):
         rng = RngStream(503)
         for _ in range(50):

@@ -25,7 +25,7 @@ class TestBruteForceBest:
         e = kraus_to_affine(make(spec_from_values("pauli", [0.1, 0.6, 0.2, 0.1]))[0])
         x, best = brute_force_best(e, 100_000, RngStream(2))
         assert 0.2 - 1e-3 <= best <= 0.2 + 1e-12
-        # the canonical +-e1 candidate lands on the optimum exactly
+        # the canonical e1 candidate lands on the optimum exactly
         assert abs(abs(x[1]) - 1.0) < 1e-12
 
     def test_never_beats_solver(self):
@@ -126,6 +126,21 @@ def test_batched_rotations_equal_unitary_to_affine():
     batch = _rotation_batch(xs)
     scalar = np.stack([unitary_to_affine(UnitaryParams.from_vector(x)).m for x in xs])
     assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
+
+
+def test_negated_axes_give_bitwise_the_same_deltas():
+    # why the canonical candidates are the rows of eye(4) alone: -e_i would repeat e_i exactly
+    from quasinv.metrics import mstd_analytic
+    from quasinv.oracle import _CANONICAL, _delta_batch
+
+    assert np.array_equal(_CANONICAL, np.eye(4))
+    rng = RngStream(706)
+    for i in range(50):
+        e = kraus_to_affine(random_channel(rng, 1 + i % 4))
+        base_value = mstd_analytic(e).value
+        plus = _delta_batch(e, np.eye(4), base_value)
+        minus = _delta_batch(e, -np.eye(4), base_value)
+        assert np.array_equal(plus.view(np.int64), minus.view(np.int64))
 
 
 def whole_batch_search(e, n, seed):

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 import pytest
 
-from quasinv import kraus_to_affine, make, mstd_monte_carlo, oracle
+from quasinv import kraus_to_affine, make, mstd_monte_carlo, oracle, quasi_inverse
 from quasinv.numerics import (
     MAX_BATCHES,
     RngStream,
@@ -215,6 +215,31 @@ class TestSampleRange:
         with pytest.raises(ValueError, match=rf"^need {low}\.\.{high} samples, got {n}$"):
             brute_force_best(self.GAD, n, rng)
         assert rng.u64() == RngStream(1).u64()
+
+    @pytest.mark.parametrize("n", [2000.9, 2000.0, "2000"])
+    def test_monte_carlo_refuses_non_integers(self, n):
+        rng = RngStream(1)
+        with pytest.raises(TypeError):
+            mstd_monte_carlo(self.GAD, n, rng)
+        assert rng.u64() == RngStream(1).u64()
+
+    @pytest.mark.parametrize("n", [20_000.7, 20_000.0, "20000"])
+    def test_brute_force_refuses_non_integers(self, monkeypatch, n):
+        result = quasi_inverse(self.GAD)
+        monkeypatch.setattr(oracle, "mstd_analytic", lambda e: pytest.fail("mstd_analytic ran"))
+        rng = RngStream(1)
+        with pytest.raises(TypeError):
+            brute_force_best(self.GAD, n, rng)
+        with pytest.raises(TypeError):
+            oracle.verify(self.GAD, result, n, rng)
+        assert rng.u64() == RngStream(1).u64()
+
+    def test_numpy_integers_accepted(self):
+        mc = mstd_monte_carlo(self.GAD, np.int64(2000), RngStream(2))
+        assert (mc.value, mc.n_samples) == (mstd_monte_carlo(self.GAD, 2000, RngStream(2)).value, 2000)
+        result = quasi_inverse(self.GAD)
+        report = oracle.verify(self.GAD, result, np.int64(20_000), RngStream(3))
+        assert report == oracle.verify(self.GAD, result, 20_000, RngStream(3))
 
 
 class TestPoolSize:
