@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream
+from .numerics import RngStream, _real_array
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -35,9 +35,7 @@ UNIT_NORM_TOL = 1e-12
 
 def check_bloch(r) -> np.ndarray:
     """Validate and return a Bloch vector (real 3-vector inside the ball)."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
+    r = _real_array(r, (3,), "Bloch vector")
     if not np.all(np.isfinite(r)):
         raise ValueError("Bloch vector has non-finite entries")
     norm = float(np.linalg.norm(r))
@@ -88,16 +86,14 @@ class KrausChannel:
 
 @dataclass(eq=False)
 class AffineChannel:
-    """Bloch-vector action r -> m r + c of a trace-preserving qubit map."""
+    """Bloch-vector action r -> m r + c of a trace-preserving qubit map; m, c are read-only C-ordered copies."""
 
     m: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        if m.shape != (3, 3) or c.shape != (3,):
-            raise ValueError(f"need m (3,3) and c (3,), got {m.shape} and {c.shape}")
+        self.m = m = _real_array(self.m, (3, 3), "m")
+        self.c = c = _real_array(self.c, (3,), "c")
         rows, (c0, c1, c2) = m.tolist(), c.tolist()
         if not all(map(math.isfinite, [*rows[0], *rows[1], *rows[2], c0, c1, c2])):
             raise ValueError("affine data has non-finite entries")
@@ -114,8 +110,6 @@ class AffineChannel:
             smax = math.sqrt(max(top, 0.0))
             if not (smax <= 1.0 + CPTP_TOL):
                 raise ValueError(f"largest singular value of m is {smax} > 1")
-        self.m = m
-        self.c = c
 
 
 def _gram_rows_within(rows, bound: float) -> bool:
@@ -149,38 +143,35 @@ def compose(e2: AffineChannel, e1: AffineChannel) -> AffineChannel:
 
 @dataclass(eq=False)
 class UnitaryParams:
-    """Unitary V = x0 I + i x.sigma with x0^2 + |x|^2 = 1."""
+    """Unitary V = x0 I + i x.sigma with x0^2 + |x|^2 = 1; ``xvec`` is a read-only float copy."""
 
     x0: float
     xvec: np.ndarray
 
     def __post_init__(self):
-        self.x0 = float(self.x0)
-        xvec = np.asarray(self.xvec, dtype=float)
-        if xvec.shape != (3,):
-            raise ValueError(f"x must have shape (3,), got {xvec.shape}")
-        x0, (x1, x2, x3) = self.x0, xvec.tolist()
-        # a Python-float |x|^2 accepts what is clearly unit length; numpy's expression decides the rest
-        if not abs(x0 * x0 + (x1 * x1 + x2 * x2 + x3 * x3) - 1.0) <= 0.5 * UNIT_NORM_TOL:
-            with np.errstate(all="ignore"):  # entries beyond ~1e154 overflow to inf
-                norm2 = x0 * x0 + float(xvec @ xvec)
-            if not (abs(norm2 - 1.0) <= UNIT_NORM_TOL):
-                raise ValueError(f"(x0, x) is not unit length: |x|^2 = {norm2}")
-        self.xvec = xvec
+        self.x0 = float(_real_array(self.x0, (), "x0"))
+        self.xvec = _real_array(self.xvec, (3,), "xvec")
+        with np.errstate(all="ignore"):  # entries beyond ~1e154 overflow to inf
+            norm2 = self.x0 * self.x0 + float(self.xvec @ self.xvec)
+        if not (abs(norm2 - 1.0) <= UNIT_NORM_TOL):
+            raise ValueError(f"(x0, x) is not unit length: |x|^2 = {norm2}")
 
     @classmethod
     def from_vector(cls, x4) -> "UnitaryParams":
-        x4 = np.asarray(x4, dtype=float)
-        if x4.shape != (4,):
-            raise ValueError(f"expected a 4-vector, got shape {x4.shape}")
+        x4 = _real_array(x4, (4,), "x4")
         return cls(x4[0], x4[1:])
 
 
 def unitary_matrix(u: UnitaryParams) -> np.ndarray:
     """The 2x2 matrix x0 I + i (x1 X + x2 Y + x3 Z)."""
+    return _unitary(u.x0, *u.xvec.tolist())
+
+
+def _unitary(x0: float, x1: float, x2: float, x3: float) -> np.ndarray:
+    """unitary_matrix of four floats, taken as they are (their unit length is the caller's)."""
     # numpy's x0 * I + 1j * ((x1 * X + x2 * Y) + x3 * Z) entry by entry, signed zeros included:
     # every product is complex by complex, with a real factor x entering as (x, +0.0)
-    x0, x1, x2, x3 = map(complex, (u.x0, *u.xvec.tolist()))
+    x0, x1, x2, x3 = map(complex, (x0, x1, x2, x3))
     one, zero = complex(1.0, 0.0), complex(0.0, 0.0)
     diagonal_xy = x1 * zero + x2 * zero
     return np.array([

@@ -21,13 +21,13 @@ import numpy as np
 from .channels import (
     AffineChannel,
     UnitaryParams,
-    rotation_matrix,
-    unitary_matrix,
+    _rotation_entries,
+    _unitary,
     unitary_to_affine,
     validate_cptp,
 )
 from .metrics import _closed_form, _region, mstd_analytic, mstd_composed
-from .numerics import eig_sym4, eigh_desc
+from .numerics import _real_array, eig_sym4, eigh_desc
 
 TRIVIAL_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
@@ -37,20 +37,17 @@ _UPPER_TRIANGLE = [(i, j) for i in range(4) for j in range(i, 4)]
 
 @dataclass(eq=False)
 class QForm:
-    """Symmetric 4x4 quadratic form of the MSTD decrease; q[0, 0] = 0."""
+    """Symmetric 4x4 quadratic form of the MSTD decrease; q[0, 0] = 0. ``q`` is a read-only float copy."""
 
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got {q.shape}")
-        rows = q.tolist()
+        self.q = _real_array(self.q, (4, 4), "q")
+        rows = self.q.tolist()
         # numpy's elementwise |q - q^T| <= 1e-12 in Python floats, on the upper triangle: the same
         # decision, since |a - b| is |b - a| and a diagonal entry passes exactly when it is finite
         if not all([abs(rows[i][j] - rows[j][i]) <= 1e-12 for i, j in _UPPER_TRIANGLE]):
             raise ValueError("quadratic form must be symmetric")
-        self.q = q
 
 
 @dataclass(eq=False)
@@ -85,7 +82,7 @@ def build_q(e: AffineChannel, region: str = "ball") -> QForm:
     q = [[0.0, a1, a2, a3], [a1, d1, s12, s13], [a2, s12, d2, s23], [a3, s13, s23, d3]]
     if denominator != 20.0:  # the surface: its moments scale the ball form by 20 / 12
         q = [[x * (20.0 / denominator) for x in row] for row in q]
-    return QForm(np.array(q))
+    return QForm(q)
 
 
 def maximize(qf: QForm) -> tuple[float, np.ndarray]:
@@ -135,15 +132,15 @@ def _solve(e: AffineChannel) -> tuple[QuasiInverseResult, QForm]:
     degenerate = bool(w[0] - w[1] < DEGENERACY_TOL)
     trivial = lam <= TRIVIAL_TOL
     x = np.array([1.0, 0.0, 0.0, 0.0]) if trivial else v[:, 0]
-    u = UnitaryParams.from_vector(x)
+    xs = x.tolist()  # unit length: e0, or an eigenvector LAPACK normalized
     before = _closed_form(e.m, e.c, 20.0)  # mstd_analytic(e).value
-    # mstd_composed(unitary_to_affine(u), e) bit for bit without re-checking |x| = 1: the
-    # rotation's zero translation would only turn a -0.0 of R c, which is squared, into +0.0
-    rot = rotation_matrix(u)
+    # mstd_composed(unitary_to_affine(V), e) bit for bit, V = x0 I + i x.sigma: the rotation's zero
+    # translation would only turn a -0.0 of R c, which is squared, into +0.0
+    rot = np.array(list(_rotation_entries(*xs))).reshape(3, 3)
     after = _closed_form(rot @ e.m, rot @ e.c, 20.0)
     result = QuasiInverseResult(
         x=x,
-        unitary=unitary_matrix(u),
+        unitary=_unitary(*xs),
         lambda_max=lam,
         delta_mstd=0.4 * max(lam, 0.0),
         mstd_before=before,

@@ -83,7 +83,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = operator.index(seed) & _MASK64
         self._counter = 0
 
     def __repr__(self) -> str:
@@ -266,11 +266,21 @@ def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([values[i] for i in order]), np.array([_signed(columns[i]) for i in order]).T
 
 
+def _real_array(value, shape: tuple, name: str) -> np.ndarray:
+    """A read-only C-ordered float64 copy; TypeError for complex, bool or text, ValueError for another shape."""
+    a = np.array(value, order="C")
+    if a.dtype.kind in "cbUS":
+        raise TypeError(f"{name} must be real, got dtype {a.dtype}")
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    a = a.astype(np.float64, copy=False)
+    a.flags.writeable = False
+    return a
+
+
 def eig_sym4(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric 4x4."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {q.shape}")
+    q = _real_array(q, (4, 4), "q")
     if not np.isfinite(q).all():
         raise ValueError("matrix has non-finite entries")
     return eigh_desc(0.5 * (q + q.T))

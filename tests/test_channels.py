@@ -1,6 +1,13 @@
+import io
+import json
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
+import quasinv.channels as channels
+import quasinv.cli as cli
 from quasinv.channels import (
     IDENTITY2,
     PAULIS,
@@ -23,14 +30,17 @@ from quasinv.channels import (
     unitary_to_affine,
     validate_cptp,
 )
-from quasinv.inverter import QForm, QuasiInverseResult
-from quasinv.numerics import RngStream, ball_samples, eig_herm4, sphere4_samples
+from quasinv.documents import kraus_document
+from quasinv.inverter import QForm, QuasiInverseResult, quasi_inverse
+from quasinv.metrics import mstd_analytic
+from quasinv.numerics import RngStream, ball_samples, eig_herm4, eig_sym4, sphere4_samples
 from quasinv.zoo import (
     FAMILIES,
     GoldenExpectation,
     make,
     spec_from_values,
 )
+from test_cli import FAMILY_DOCUMENTS
 
 AXIS_STATES = [
     np.array(v, dtype=float)
@@ -510,3 +520,98 @@ class TestRandomChannelCount:
         k = random_channel(RngStream(1), np.int64(3))
         assert k.operators.shape == (3, 2, 2)
         assert np.array_equal(k.operators, random_channel(RngStream(1), 3).operators)
+
+
+# (intake, field, a valid argument, complex, boolean and string stand-ins for it)
+_M = 0.5 * np.eye(3)
+_Q = np.diag([0.0, 1.0, 2.0, 3.0])
+_BAD3 = ([0, 0, 0.5j], np.zeros(3, dtype=bool), ["0", "0", "0"])
+_BAD44 = (_Q + 0j, np.eye(4, dtype=bool), _Q.astype(str))
+INTAKES = [
+    pytest.param(lambda m: AffineChannel(m, np.zeros(3)), "m", _M,
+                 (_M + 0.1j, np.eye(3, dtype=bool), [[0.5, 0, 0], [0, 0.5, 0], [0, 0, "0.5"]]), id="AffineChannel.m"),
+    pytest.param(lambda c: AffineChannel(_M, c), "c", np.zeros(3), _BAD3, id="AffineChannel.c"),
+    pytest.param(lambda x0: UnitaryParams(x0, np.zeros(3)), "x0", 1.0, (1.0 + 0j, True, "1.0"), id="UnitaryParams.x0"),
+    pytest.param(lambda x: UnitaryParams(1.0, x), "xvec", np.zeros(3), _BAD3, id="UnitaryParams.xvec"),
+    pytest.param(UnitaryParams.from_vector, "x4", np.eye(4)[0],
+                 ([1, 0, 0, 0j], np.eye(4, dtype=bool)[0], ["1", "0", "0", "0"]), id="from_vector"),
+    pytest.param(QForm, "q", _Q, _BAD44, id="QForm"),
+    pytest.param(check_bloch, "Bloch vector", np.zeros(3), _BAD3, id="check_bloch"),
+    pytest.param(eig_sym4, "q", _Q, _BAD44, id="eig_sym4"),
+]
+
+
+def layout_channels():
+    """kraus_to_affine's channels, with m in C order and as a Fortran copy, a transposed copy and a strided view."""
+    rng = RngStream(9)
+    for i in range(2000):
+        e = kraus_to_affine(random_channel(rng, 1 + i % 4))
+        wide = np.zeros((3, 5))
+        wide[:, 1:4] = e.m
+        yield e, [np.asfortranarray(e.m), e.m.T.copy().T, wide[:, 1:4]]
+
+
+class TestRealArrayIntake:
+    """AffineChannel, UnitaryParams, QForm, check_bloch and eig_sym4 keep read-only C-ordered float copies."""
+
+    @pytest.mark.parametrize("intake, name, valid, bad", INTAKES)
+    def test_refuses_complex_boolean_and_text(self, intake, name, valid, bad):
+        intake(valid)
+        for value in bad:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no ComplexWarning on the way to the refusal
+                with pytest.raises(TypeError, match=f"^{name} must be real, got dtype"):
+                    intake(value)
+
+    def test_wrong_shape_names_field_and_both_shapes(self):
+        with pytest.raises(ValueError, match=r"^c must have shape \(3,\), got \(2,\)$"):
+            AffineChannel(_M, np.zeros(2))
+        with pytest.raises(ValueError, match=r"^q must have shape \(4, 4\), got \(3, 3\)$"):
+            eig_sym4(np.eye(3))
+
+    def test_source_mutation_leaves_object_unchanged(self):
+        m, c, x, q = _M.copy(), np.zeros(3), np.zeros(3), _Q.copy()
+        e, u, qf = AffineChannel(m, c), UnitaryParams(1.0, x), QForm(q)
+        before = mstd_analytic(e).value
+        m[:] = 3.0
+        c[:] = 0.5
+        x[:] = 1.0
+        q[:] = 7.0
+        assert np.array_equal(e.m, _M) and not e.c.any() and not u.xvec.any() and np.array_equal(qf.q, _Q)
+        assert mstd_analytic(e).value == before
+
+    def test_stored_arrays_are_read_only_c_copies(self):
+        e, u, qf = AffineChannel(np.asfortranarray(_M), np.zeros(3)), UnitaryParams(1.0, np.zeros(3)), QForm(_Q)
+        for a in (e.m, e.c, u.xvec, qf.q):
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_layouts_give_bitwise_equal_results(self):
+        for e, views in layout_channels():
+            analytic, result = mstd_analytic(e).value, quasi_inverse(e)
+            for view in views:
+                f = AffineChannel(view, e.c)
+                assert mstd_analytic(f).value.hex() == analytic.hex()
+                got = quasi_inverse(f)
+                assert got.mstd_before.hex() == result.mstd_before.hex()
+                assert got.mstd_after.hex() == result.mstd_after.hex()
+
+    def test_analyze_builds_no_unitary_params(self, capsys, monkeypatch):
+        docs = FAMILY_DOCUMENTS + [kraus_document(random_channel(RngStream(12), 3))]
+
+        def analyze_all():
+            outs = []
+            for doc in docs:
+                monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+                assert cli.main(["analyze", "-"]) == 0
+                outs.append(capsys.readouterr())
+            return outs
+
+        expected = analyze_all()
+
+        def refuse(self):
+            raise AssertionError("UnitaryParams built")
+
+        monkeypatch.setattr(channels.UnitaryParams, "__post_init__", refuse)
+        assert analyze_all() == expected

@@ -192,8 +192,8 @@ class TestQuasiInverse:
         assert result.delta_mstd == pytest.approx(0.4 * 0.3, abs=1e-12)
 
     def test_no_numeric_warnings_on_random_channels(self):
-        # index 2119 of this stream is a valid channel on which a Jacobi
-        # rotation overflows; no solver may warn on it
+        # index 2119 of this stream is a valid channel that made an earlier
+        # eigensolver overflow; no solver may warn on it
         rng = RngStream(5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

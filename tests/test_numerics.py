@@ -128,7 +128,7 @@ class TestEigSym4:
             eig_sym4(q)
 
 
-class TestJacobiGeneral:
+class TestEighDesc:
     """The general-n kernel eigh_desc behind eig_sym4."""
 
     def test_three_by_three(self):
@@ -241,6 +241,15 @@ class TestRngStream:
         assert RngStream(-1).seed == 0xFFFFFFFFFFFFFFFF
         assert RngStream(2**64 + 5).seed == 5
         assert np.array_equal(RngStream(-1).uniforms(8), RngStream(2**64 - 1).uniforms(8))
+
+    @pytest.mark.parametrize("seed", [1.9, 1.0, "7"])
+    def test_non_integer_seed_raises_type_error(self, seed):
+        with pytest.raises(TypeError):
+            RngStream(seed)
+
+    def test_numpy_integer_seed(self):
+        assert RngStream(np.int64(7)).seed == 7
+        assert np.array_equal(RngStream(np.int64(7)).uniforms(8), RngStream(7).uniforms(8))
 
 
 class TestSampleBall:
