@@ -50,13 +50,18 @@ class KrausChannel:
 
     ``operators`` is a read-only (k, 2, 2) complex copy of the input, so
     ``residual``, its TP residual computed once at construction, stays valid.
+    Real and complex numbers are accepted; booleans and text are refused
+    with a TypeError.
     """
 
     operators: np.ndarray
     residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = np.array(self.operators, dtype=complex, order="C")
+        ops = np.array(self.operators, order="C")
+        if ops.dtype.kind in "bUS":
+            raise TypeError(f"operators must be numeric, got dtype {ops.dtype}")
+        ops = ops.astype(complex, copy=False)
         if not ops.size:
             raise ValueError("Kraus channel needs at least one operator")
         if ops.ndim != 3 or ops.shape[1:] != (2, 2):

@@ -23,6 +23,8 @@ from .numerics import MAX_BATCHES, RngStream, ball_samples, map_batches, sphere_
 
 MC_MIN_SAMPLES = 1000
 _MC_BATCH = 32768
+# points of a batch drawn and evaluated at a time, so a worker's temporaries stay near 1.5 MB
+_MC_CHUNK = 8192
 MC_MAX_SAMPLES = MAX_BATCHES * _MC_BATCH  # 2^31
 
 METHOD_ANALYTIC_BALL = "analytic-ball"
@@ -105,7 +107,12 @@ def mstd_monte_carlo(
 
     Samples are drawn in fixed-size batches from substreams derived from
     one draw of ``rng``, so the result depends only on (seed, n, region)
-    and is identical for any worker count.
+    and is identical for any worker count. Each batch is drawn and
+    evaluated ``_MC_CHUNK`` points at a time, as ``brute_force_best``
+    draws ``_CHUNK`` rows at a time, so a worker thread needs about 1.5 MB
+    of working memory. The chunks fill one batch-sized array of squared
+    distances, and the two sums run over that whole array, so the bytes
+    are those of one draw per batch.
     """
     n = operator.index(n)
     if not MC_MIN_SAMPLES <= n <= MC_MAX_SAMPLES:
@@ -113,9 +120,14 @@ def mstd_monte_carlo(
     _, sampler, method = _region(region)
 
     def run_batch(stream: RngStream, size: int) -> tuple[float, float]:
-        pts = sampler(stream, size)
-        diff = pts - (pts @ e.m.T + e.c)
-        d2 = 0.25 * np.einsum("ij,ij->i", diff, diff)
+        # the stream yields the same words chunk by chunk as in one draw; summing
+        # per chunk would change numpy's pairwise order, so the sums wait for d2
+        d2 = np.empty(size)
+        for start in range(0, size, _MC_CHUNK):
+            out = d2[start : start + _MC_CHUNK]
+            pts = sampler(stream, len(out))
+            diff = pts - (pts @ e.m.T + e.c)
+            np.multiply(0.25, np.einsum("ij,ij->i", diff, diff), out=out)
         return float(d2.sum()), float((d2 * d2).sum())
 
     total = 0.0

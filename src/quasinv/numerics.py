@@ -253,9 +253,13 @@ def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues descending, eigenvector columns) under the sign
     convention. The descending sort is stable, so equal eigenvalues keep
     LAPACK's column order. A LAPACK failure raises ConvergenceError
-    carrying the off-diagonal norm of the input.
+    carrying the off-diagonal norm of the input. A complex matrix is
+    refused with a TypeError rather than losing its imaginary part.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise TypeError(f"matrix must be real, got dtype {a.dtype}")
+    a = a.astype(float, copy=False)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

@@ -84,6 +84,25 @@ class TestKrausChannel:
     def test_tp_residual_small_for_valid(self):
         assert gad_kraus(0.4, 0.7).tp_residual() < 1e-15
 
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [np.eye(2, dtype=bool)],
+            [[["1", "0"], ["0", "1"]]],
+            [[[b"1", b"0"], [b"0", b"1"]]],
+        ],
+        ids=["bool", "str", "bytes"],
+    )
+    def test_rejects_bool_and_text(self, ops):
+        with pytest.raises(TypeError, match="operators"):
+            KrausChannel(ops)
+
+    @pytest.mark.parametrize("ops", [[np.eye(2, dtype=int)], [np.eye(2)], [[[1, 0], [0, 1j]]]])
+    def test_accepts_real_and_complex_numbers(self, ops):
+        k = KrausChannel(ops)
+        assert k.operators.dtype == complex
+        assert np.array_equal(k.operators[0], np.asarray(ops[0], dtype=complex))
+
     def test_operators_are_one_read_only_stack(self):
         ops = [SIGMA_X.copy()]
         k = KrausChannel(ops)

@@ -169,6 +169,51 @@ class TestMonteCarlo:
         assert hits >= 99
 
 
+def whole_batch_monte_carlo(e, n, seed, region):
+    """mstd_monte_carlo written with one draw and one einsum per 32,768-point batch."""
+    from quasinv.numerics import sphere_samples, substream
+
+    sampler = ball_samples if region == "ball" else sphere_samples
+    base = RngStream(seed).u64()
+    total = total_sq = 0.0
+    for k, start in enumerate(range(0, n, 32_768)):
+        pts = sampler(substream(base, k), min(32_768, n - start))
+        diff = pts - (pts @ e.m.T + e.c)
+        d2 = 0.25 * np.einsum("ij,ij->i", diff, diff)
+        total += float(d2.sum())
+        total_sq += float((d2 * d2).sum())
+    var = max(total_sq - total * total / n, 0.0) / (n - 1)
+    return total / n, float(np.sqrt(var / n))
+
+
+class TestChunkedMonteCarlo:
+    @pytest.mark.parametrize("n", [1000, 8191, 8193, 32_768, 32_769, 100_001])
+    @pytest.mark.parametrize("region", ["ball", "surface"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_whole_batch_reference(self, n, region, workers):
+        for i in range(3):
+            e = kraus_to_affine(random_channel(RngStream(720 + i), 1 + i))
+            report = mstd_monte_carlo(e, n, RngStream(40 + i), region=region, workers=workers)
+            value, stderr = whole_batch_monte_carlo(e, n, 40 + i, region)
+            assert np.float64(report.value).tobytes() == np.float64(value).tobytes()
+            assert np.float64(report.stderr).tobytes() == np.float64(stderr).tobytes()
+
+    @pytest.mark.parametrize("region", ["ball", "surface"])
+    @pytest.mark.parametrize("n,workers,limit_mb", [(32_768, 1, 2.0), (4 * 32_768, 2, 4.0)])
+    def test_traced_peak(self, region, n, workers, limit_mb):
+        import tracemalloc
+
+        e = kraus_to_affine(random_channel(RngStream(723), 3))
+        mstd_monte_carlo(e, 1000, RngStream(0), region=region)  # first-call allocations are not the batch's
+        tracemalloc.start()
+        try:
+            mstd_monte_carlo(e, n, RngStream(12), region=region, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6
+
+
 def test_report_dataclass_roundtrip():
     report = MstdReport(value=0.1, method="analytic-ball")
     assert report.stderr is None and report.n_samples is None
