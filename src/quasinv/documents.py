@@ -281,7 +281,12 @@ def report_document(parsed: ParsedChannel, key: str, report) -> dict:
 
 
 def dumps(obj, indent: int | None = None) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON: floats (numpy's too) as ``.17g``, so they round-trip, and ``0`` for -0.0.
+
+    Lists, tuples and numpy arrays go on one line; ``indent`` lays out dicts
+    only. Strings use ASCII escapes. The first fault in document order
+    raises: ValueError for a NaN or infinity, TypeError for a non-string key.
+    """
     return _render(obj, indent, 0)
 
 
@@ -292,21 +297,18 @@ def _render(obj, indent: int | None, level: int) -> str:
             raise ValueError(f"cannot serialize non-finite number {obj}")
         return f"{obj:.17g}" if obj else "0"  # "0" for -0.0 too
     if kind is list or (kind is not dict and isinstance(obj, (list, tuple))):
-        if not obj:
-            return "[]"
-        # finite floats inline (x - x is nan for inf and nan), anything else by recursion
-        items = [(f"{x:.17g}" if x else "0") if type(x) is float and x - x == 0.0
-                 else _render(x, indent, level + 1) for x in obj]
-        return "[" + ", ".join(items) + "]"
+        return _list(obj, indent, level)
     if kind is dict or isinstance(obj, dict):
         if not obj:
             return "{}"
-        if not all(isinstance(key, str) for key in obj):
-            raise TypeError("JSON object keys must be strings")
         pad_in = pad = ""
         if indent is not None:
             pad_in, pad = "\n" + " " * (indent * (level + 1)), "\n" + " " * (indent * level)
-        items = [encode_basestring_ascii(k) + ": " + _render(v, indent, level + 1) for k, v in obj.items()]
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError("JSON object keys must be strings")
+            items.append(encode_basestring_ascii(key) + ": " + _render(value, indent, level + 1))
         return "{" + pad_in + ("," + (pad_in or " ")).join(items) + pad + "}"
     if obj is None:
         return "null"
@@ -321,3 +323,14 @@ def _render(obj, indent: int | None, level: int) -> str:
     if isinstance(obj, np.ndarray):  # a vector family parameter given from Python
         return _render(obj.tolist(), indent, level)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _list(obj, indent: int | None, level: int) -> str:
+    """A list or tuple on one line: finite floats inline, nested lists by recursion, the rest by _render."""
+    items = []
+    for x in obj:
+        if type(x) is float and x - x == 0.0:  # x - x is nan for inf and nan
+            items.append(f"{x:.17g}" if x else "0")
+        else:
+            items.append(_list(x, indent, level + 1) if type(x) is list else _render(x, indent, level + 1))
+    return f"[{', '.join(items)}]"

@@ -71,6 +71,14 @@ def _splitmix(seed: int, start: int, n: int, gamma: np.uint64) -> np.ndarray:
     return z
 
 
+def _count(n, what: str) -> int:
+    """A count the caller passed, as an int (``operator.index``); a negative one is refused."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"cannot draw a negative number of {what}, got {n}")
+    return n
+
+
 class RngStream:
     """Counter-based PRNG (splitmix64).
 
@@ -79,7 +87,9 @@ class RngStream:
     finalizer; all arithmetic is mod 2**64. State is just (seed, counter),
     so sequences are bit-identical everywhere. Uniform doubles take the
     top 53 bits of a word: ``(w >> 11) * 2**-53``. Normals come from
-    Box-Muller pairs; ``normals(n)`` consumes 2*ceil(n/2) uniforms.
+    Box-Muller pairs; ``normals(n)`` consumes 2*ceil(n/2) uniforms. Every
+    count goes through ``operator.index``, and a negative one raises
+    ValueError before any word is drawn.
     """
 
     def __init__(self, seed: int):
@@ -90,8 +100,7 @@ class RngStream:
         return f"RngStream(seed={self.seed}, counter={self._counter})"
 
     def _words(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError(f"cannot draw a negative number of words, got {n}")
+        """The next n words; n is an int >= 0 the public method checked."""
         out = _splitmix(self.seed, self._counter, n, _GAMMA)
         self._counter += n
         return out
@@ -102,7 +111,7 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform doubles in [0, 1)."""
-        w = self._words(n)
+        w = self._words(_count(n, "uniforms"))
         w >>= _UNIFORM_SHIFT
         u = w.astype(np.float64)  # exact: w < 2**53
         u *= 2.0**-53
@@ -113,11 +122,13 @@ class RngStream:
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals (Box-Muller; odd n drops the last sine)."""
+        n = _count(n, "normals")
         m = (n + 1) // 2
         return _normals(self.uniforms(2 * m).reshape(m, 2), 2).T.reshape(2 * m)[:n]
 
     def split(self, n: int) -> list["RngStream"]:
         """n independent substreams; advances this stream by one word."""
+        n = _count(n, "substreams")
         base = self.u64()
         return [substream(base, k) for k in range(n)]
 
@@ -175,6 +186,7 @@ def ball_samples(rng: RngStream, n: int) -> np.ndarray:
     direction (the 4th normal is dropped, so its sine is never computed),
     1 for the radius u**(1/3).
     """
+    n = _count(n, "points")
     u = rng.uniforms(5 * n).reshape(n, 5)
     g = _normals(u, 3)
     s = np.cbrt(u[:, 4])
@@ -184,12 +196,14 @@ def ball_samples(rng: RngStream, n: int) -> np.ndarray:
 
 def sphere_samples(rng: RngStream, n: int) -> np.ndarray:
     """n points uniform on the unit 2-sphere, shape (n, 3); 4 uniforms each, 4th sine skipped."""
+    n = _count(n, "points")
     g = _normals(rng.uniforms(4 * n).reshape(n, 4), 3)
     return _points(np.divide, g, _norms(g))
 
 
 def sphere4_samples(rng: RngStream, n: int) -> np.ndarray:
     """n points uniform on the unit 3-sphere in R^4, shape (n, 4)."""
+    n = _count(n, "points")
     g = _normals(rng.uniforms(4 * n).reshape(n, 4), 4)
     return _points(np.divide, g, _norms(g))
 
@@ -200,6 +214,7 @@ def map_batches(rng: RngStream, n: int, batch: int, fn, workers: int = 1) -> lis
     Batch k draws from ``substream(base, k)``, where base is one word of
     ``rng``, so the results depend on (rng, n, batch) and not on the number
     of worker threads. There are at most ``MAX_BATCHES`` batches.
+    ``n`` is an integer >= 0, ``batch`` one >= 1, and
     ``workers`` is an integer >= 1 (a bool is refused);
     the pool has no more threads than there are batches, and with one
     thread the batches run serially without a pool. Results come back in
@@ -210,6 +225,9 @@ def map_batches(rng: RngStream, n: int, batch: int, fn, workers: int = 1) -> lis
     workers = operator.index(workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    n, batch = operator.index(n), operator.index(batch)
+    if n < 0 or batch < 1:
+        raise ValueError(f"need n >= 0 items in batches of batch >= 1, got n={n}, batch={batch}")
     if n > MAX_BATCHES * batch:
         raise ValueError(f"{n} items need more than {MAX_BATCHES} batches of {batch}")
     base = rng.u64()

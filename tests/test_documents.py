@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import random
 
 import numpy as np
 import pytest
@@ -221,6 +223,142 @@ class TestGoldenBytes:
     def test_rejects_non_string_key(self):
         with pytest.raises(TypeError, match="keys"):
             dumps({1: 0.5})
+
+
+def reference_dumps(obj, indent=None, level=0):
+    """The output contract of dumps written out plainly, to compare dumps against.
+
+    Floats (numpy's too) as format(x, ".17g") with "0" for both zeros,
+    strings by json.dumps, lists, tuples and arrays on one line, dicts laid
+    out by indent. The first fault in document order raises, a dict's key
+    checked before its value.
+    """
+    if isinstance(obj, np.ndarray):
+        return reference_dumps(obj.tolist(), indent, level)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite number {x}")
+        return "0" if x == 0.0 else format(x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(reference_dumps(x, indent, level + 1) for x in obj) + "]"
+    if isinstance(obj, dict):
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError("JSON object keys must be strings")
+            items.append(json.dumps(key) + ": " + reference_dumps(value, indent, level + 1))
+        if not items:
+            return "{}"
+        if indent is None:
+            return "{" + ", ".join(items) + "}"
+        inner, outer = " " * (indent * (level + 1)), " " * (indent * level)
+        return "{\n" + ",\n".join(inner + item for item in items) + "\n" + outer + "}"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+class Row(list):
+    pass
+
+
+class Record(dict):
+    pass
+
+
+GOOD_LEAVES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+    1.7976931348623157e308, 0.1, -2.5, 1 / 3, 1e16, 1e22, 123456789.0, 0, 1, -7, 10**30, -(10**30),
+    True, False, None, "", "plain", "Bloch ψ café", 'quote " and \\', "\x00\x1f ", "\U0001f600",
+    np.float64(-0.0), np.float64(1 / 3), np.float64(5e-324), np.float32(0.1), np.float16(-2.5),
+    np.int64(-7), np.uint64(2**64 - 1), np.int8(5),
+    np.array([0.5, -0.0]), np.array([[1, 2], [3, 4]]), np.array([True, False]), np.array([]),
+]
+BAD_LEAVES = [
+    float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float32("inf"),
+    np.array([1.0, float("nan")]), object(), np.bool_(True), 1 + 2j, {1, 2}, b"bytes",
+]
+BAD_KEYS = [1, 2.5, None, ("t",), True]
+KEYS = ["a", "b", "", "ψ", 'k"ey', "\U0001f600", "x" * 20]
+
+
+def random_float(rng):
+    return rng.choice([1.0, -1.0]) * math.ldexp(rng.random(), rng.randint(-1074, 1024))
+
+
+def random_tree(rng, depth, fault=0.0):
+    """A document tree of nested lists, tuples and dicts (and their subclasses); with
+    probability fault a leaf or a key is one dumps must refuse."""
+    if depth == 0 or rng.random() < 0.35:
+        if rng.random() < fault:
+            return rng.choice(BAD_LEAVES)
+        return random_float(rng) if rng.random() < 0.5 else rng.choice(GOOD_LEAVES)
+    items = [random_tree(rng, depth - 1, fault) for _ in range(rng.randint(0, 4))]
+    kind = rng.choice([list, tuple, Row, dict, Record])
+    if kind in (dict, Record):
+        return kind((rng.choice(BAD_KEYS) if rng.random() < fault else rng.choice(KEYS) + str(i), v)
+                    for i, v in enumerate(items))
+    return kind(items)
+
+
+def outcome(render, obj, indent):
+    try:
+        return render(obj, indent)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestDumpsOracle:
+    """dumps against reference_dumps on generated trees, output and errors alike."""
+
+    @pytest.mark.parametrize("indent", [None, 0, 2])
+    def test_generated_trees(self, indent):
+        rng = random.Random(1009)
+        for _ in range(1500):
+            obj = random_tree(rng, 5)
+            assert dumps(obj, indent) == reference_dumps(obj, indent)
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_generated_faults(self, indent):
+        rng = random.Random(2017)
+        seen = set()
+        for _ in range(1500):
+            obj = random_tree(rng, 5, fault=0.08)
+            expected = outcome(reference_dumps, obj, indent)
+            assert outcome(dumps, obj, indent) == expected
+            seen.add(expected[0] if isinstance(expected, tuple) else str)
+        assert seen == {str, TypeError, ValueError}
+
+    @pytest.mark.parametrize(
+        "obj,error",
+        [
+            ({1: float("nan")}, TypeError),  # an item's key is checked before its value
+            ({1: 0.5, "a": float("nan")}, TypeError),
+            ({"a": float("nan"), 1: 0.5}, ValueError),  # the earlier item's value fails first
+            ({"a": {"b": [float("inf")]}, 1: 0.5}, ValueError),
+            ([{1: 0.5}, float("nan")], TypeError),
+            ([{"a": float("nan")}, {1: 0.5}], ValueError),
+        ],
+    )
+    def test_first_fault_in_document_order_wins(self, obj, error):
+        with pytest.raises(error):
+            dumps(obj)
+        assert outcome(dumps, obj, 2) == outcome(reference_dumps, obj, 2)
+
+    @pytest.mark.parametrize("wrap", [lambda x: [x], lambda x: {"a": x}, lambda x: (x,)])
+    def test_deep_nesting_raises_recursion_error(self, wrap):
+        obj = 0.5
+        for _ in range(100_000):
+            obj = wrap(obj)
+        with pytest.raises(RecursionError):
+            dumps(obj)
 
 
 class TestReportSchemas:

@@ -96,6 +96,45 @@ class TestWordCount:
             sampler(rng, -1)
         assert rng._counter == 10
 
+    @pytest.mark.parametrize(
+        "draw,what",
+        [
+            (RngStream.uniforms, "uniforms"),
+            (RngStream.normals, "normals"),
+            (RngStream.split, "substreams"),
+            (lambda rng, n: ball_samples(rng, n), "points"),
+            (lambda rng, n: sphere_samples(rng, n), "points"),
+            (lambda rng, n: sphere4_samples(rng, n), "points"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [-1, -2, -3])
+    def test_negative_count_named_as_passed(self, draw, what, n):
+        rng = RngStream(1)
+        rng.uniforms(3)
+        with pytest.raises(ValueError, match=rf"^cannot draw a negative number of {what}, got {n}$"):
+            draw(rng, n)
+        assert rng._counter == 3
+        assert rng.u64() == word(1, 3)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [RngStream.uniforms, RngStream.normals, RngStream.split, ball_samples, sphere_samples, sphere4_samples],
+    )
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2"])
+    def test_non_integer_count_is_refused(self, draw, n):
+        # uniforms(2.5) drew 3 words and left the counter at 2.5, so the next draw repeated word 3
+        rng = RngStream(7)
+        with pytest.raises(TypeError):
+            draw(rng, n)
+        assert rng._counter == 0
+        assert rng.uniforms(4).tolist() == [(word(7, j) >> 11) * 2.0**-53 for j in range(4)]
+
+    def test_numpy_integer_count(self):
+        rng = RngStream(7)
+        assert rng.uniforms(np.int64(2)).tolist() == RngStream(7).uniforms(2).tolist()
+        assert rng._counter == 2 and type(rng._counter) is int
+        assert ball_samples(RngStream(5), np.int64(3)).tobytes() == ball_samples(RngStream(5), 3).tobytes()
+
     def test_zero_count_draws_nothing(self):
         rng = RngStream(1)
         rng.uniforms(3)
@@ -188,6 +227,24 @@ class TestBatchMaximum:
         with pytest.raises(ValueError, match=f"more than {MAX_BATCHES} batches of 5"):
             map_batches(rng, n, 5, lambda stream, size: pytest.fail("a batch ran"), workers)
         assert rng.u64() == RngStream(3).u64()  # the base word was not drawn
+
+    @pytest.mark.parametrize("n,batch", [(-5, 4), (-1, 1), (0, 0), (5, 0), (0, -1)])
+    def test_bad_counts_refused_before_the_base_word(self, n, batch):
+        # (-5, 4) ran one batch of 3 items, (0, 0) raised ZeroDivisionError after drawing
+        rng = RngStream(3)
+        with pytest.raises(ValueError, match=rf"^need n >= 0 items in batches of batch >= 1, got n={n}, batch={batch}$"):
+            map_batches(rng, n, batch, lambda stream, size: pytest.fail("a batch ran"))
+        assert rng.u64() == RngStream(3).u64()
+
+    @pytest.mark.parametrize("n,batch", [(2.5, 4), (8, 4.0)])
+    def test_non_integer_counts_refused(self, n, batch):
+        rng = RngStream(3)
+        with pytest.raises(TypeError):
+            map_batches(rng, n, batch, lambda stream, size: pytest.fail("a batch ran"))
+        assert rng.u64() == RngStream(3).u64()
+
+    def test_zero_items_run_no_batch(self):
+        assert map_batches(RngStream(3), 0, 4, lambda stream, size: pytest.fail("a batch ran")) == []
 
     def test_maxima_of_the_sampling_commands(self):
         assert MAX_BATCHES == 2**16
