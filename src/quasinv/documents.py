@@ -312,7 +312,7 @@ def _render(obj, indent: int | None, level: int) -> str:
         return "{" + pad_in + ("," + (pad_in or " ")).join(items) + pad + "}"
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))

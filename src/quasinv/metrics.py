@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AffineChannel, check_bloch
-from .numerics import MAX_BATCHES, RngStream, ball_samples, map_batches, sphere_samples
+from .numerics import MAX_BATCHES, RngStream, _rows, map_batches
 
 MC_MIN_SAMPLES = 1000
 _MC_BATCH = 32768
-# points of a batch drawn and evaluated at a time, so a worker's temporaries stay near 1.5 MB
+# points of a batch drawn and evaluated at a time, in a worker's 720 KB workspace
 _MC_CHUNK = 8192
 MC_MAX_SAMPLES = MAX_BATCHES * _MC_BATCH  # 2^31
 
@@ -52,11 +52,11 @@ def trace_distance(r, z) -> float:
 
 
 def _region(region: str) -> tuple:
-    """The closed form's denominator, the sampler and the Monte Carlo method of a region."""
+    """The closed form's denominator, the ``numerics._rows`` kind and the Monte Carlo method of a region."""
     if region == "ball":
-        return 20.0, ball_samples, METHOD_MC_BALL
+        return 20.0, "ball", METHOD_MC_BALL
     if region == "surface":
-        return 12.0, sphere_samples, METHOD_MC_SURFACE
+        return 12.0, "sphere", METHOD_MC_SURFACE
     raise ValueError(f"region must be 'ball' or 'surface', got {region!r}")
 
 
@@ -109,25 +109,42 @@ def mstd_monte_carlo(
     one draw of ``rng``, so the result depends only on (seed, n, region)
     and is identical for any worker count. Each batch is drawn and
     evaluated ``_MC_CHUNK`` points at a time, as ``brute_force_best``
-    draws ``_CHUNK`` rows at a time, so a worker thread needs about 1.5 MB
-    of working memory. The chunks fill one batch-sized array of squared
-    distances, and the two sums run over that whole array, so the bytes
-    are those of one draw per batch.
+    draws ``_CHUNK`` rows at a time. A chunk's points are the contiguous
+    rows of P (3, k); with Y = P - (M P + c), its squared distances are
+    ``0.25 * ((y0*y0 + y2*y2) + y1*y1)``, summed in that order. Each worker
+    thread reuses one 720 KB workspace (P, Y and up to 5 words per point)
+    for all of its batches. The chunks fill one batch-sized array of
+    squared distances, and the two sums run over that whole array, so the
+    bytes are those of one draw per batch.
     """
     n = operator.index(n)
     if not MC_MIN_SAMPLES <= n <= MC_MAX_SAMPLES:
         raise ValueError(f"need {MC_MIN_SAMPLES}..{MC_MAX_SAMPLES} samples, got {n}")
-    _, sampler, method = _region(region)
+    _, kind, method = _region(region)
+    m, c = e.m, e.c[:, None]
+    spare = []  # workspaces of finished batches; list.pop and list.append are atomic
 
     def run_batch(stream: RngStream, size: int) -> tuple[float, float]:
+        try:
+            ws = spare.pop()
+        except IndexError:
+            ws = np.empty(11 * _MC_CHUNK)  # P and Y (3 rows each), then up to 5 words per point
         # the stream yields the same words chunk by chunk as in one draw; summing
         # per chunk would change numpy's pairwise order, so the sums wait for d2
         d2 = np.empty(size)
         for start in range(0, size, _MC_CHUNK):
             out = d2[start : start + _MC_CHUNK]
-            pts = sampler(stream, len(out))
-            diff = pts - (pts @ e.m.T + e.c)
-            np.multiply(0.25, np.einsum("ij,ij->i", diff, diff), out=out)
+            k = len(out)
+            p = _rows(stream, ws[: 3 * k].reshape(3, k), ws[6 * k :], kind)
+            y = np.matmul(m, p, out=ws[3 * k : 6 * k].reshape(3, k))
+            y += c
+            np.subtract(p, y, out=y)
+            y *= y
+            y0, y1, y2 = y
+            y0 += y2  # the order einsum("ij,ij->i") took on (k, 3) rows, spelled out
+            y0 += y1
+            np.multiply(0.25, y0, out=out)
+        spare.append(ws)
         return float(d2.sum()), float((d2 * d2).sum())
 
     total = 0.0

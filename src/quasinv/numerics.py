@@ -6,15 +6,16 @@ outputs are reproducible to rounding across BLAS builds. The random number
 generator is counter-based (splitmix64), so a given seed produces the same
 sample sequence, bit for bit, on every platform and NumPy version.
 
-One Box-Muller core (``_normals``) turns uniforms into normals for
-``RngStream.normals`` and the three samplers, and computes only the
-normals its caller returns. Uniforms per point: ball 5 (two Box-Muller
-pairs for the direction, one uniform for the radius), sphere 4 and
-3-sphere 4 (two pairs). The ball and the sphere keep three normals, so the
-sine of their second pair is never computed. The RNG and the samplers work
-in place on as few arrays as they can, with the same floating-point
-operations on the same arguments as the plain formulas, so their outputs
-are bit-identical to those formulas. One batch helper (``map_batches``)
+One sampler core (``_rows``) serves ``RngStream.normals`` and the three
+samplers. It writes a chunk's points as contiguous rows (k, n) into
+buffers its caller owns: words, uniforms, Box-Muller normals and norms
+run in place there, and only the normals its caller returns are
+computed. Uniforms per point: ball 5 (two Box-Muller pairs for the
+direction, one uniform for the radius), sphere 4 and 3-sphere 4 (two
+pairs). The ball and the sphere keep three normals, so the sine of their
+second pair is never computed. Every step is the same floating-point
+operation on the same arguments as the plain formulas, so the outputs are
+bit-identical to those formulas. One batch helper (``map_batches``)
 cuts a sampled computation into fixed-size batches on substreams of one
 base word and runs them serially or on a thread pool, with the same
 results either way.
@@ -50,17 +51,19 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _splitmix(seed: int, start: int, n: int, gamma: np.uint64) -> np.ndarray:
+def _splitmix(seed: int, start: int, n: int, gamma: np.uint64, scratch=None) -> np.ndarray:
     """Words j = start+1 .. start+n of ``mix64(seed + j*gamma)`` (mod 2**64), a new uint64 array.
 
-    mix64 is the splitmix64 finalizer. Every step runs in place on one
-    array with one scratch buffer.
+    mix64 is the splitmix64 finalizer. Every step runs in place on the new
+    array of steps j, with ``scratch`` (n uint64 words, or a new array) as
+    the one temporary.
     """
     z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    t = np.empty_like(z) if scratch is None else scratch
     with np.errstate(over="ignore"):
         z *= gamma
         z += np.uint64(seed)
-        t = z >> _SHIFT_1
+        np.right_shift(z, _SHIFT_1, out=t)
         z ^= t
         z *= _MULT_1
         np.right_shift(z, _SHIFT_2, out=t)
@@ -99,11 +102,18 @@ class RngStream:
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, counter={self._counter})"
 
-    def _words(self, n: int) -> np.ndarray:
-        """The next n words; n is an int >= 0 the public method checked."""
-        out = _splitmix(self.seed, self._counter, n, _GAMMA)
+    def _words(self, n: int, scratch=None) -> np.ndarray:
+        """The next n words; n is an int >= 0 the public method checked. ``scratch`` as in ``_splitmix``."""
+        out = _splitmix(self.seed, self._counter, n, _GAMMA, scratch)
         self._counter += n
         return out
+
+    def _fill(self, out: np.ndarray) -> np.ndarray:
+        """The next ``out.size`` uniforms into float64 ``out``, also the mixer's scratch; returns the spent words."""
+        z = self._words(out.size, out.view(np.uint64))
+        z >>= _UNIFORM_SHIFT
+        np.multiply(z, 2.0**-53, out=out)  # exact: z < 2**53
+        return z
 
     def u64(self) -> int:
         """One raw 64-bit word."""
@@ -111,10 +121,8 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform doubles in [0, 1)."""
-        w = self._words(_count(n, "uniforms"))
-        w >>= _UNIFORM_SHIFT
-        u = w.astype(np.float64)  # exact: w < 2**53
-        u *= 2.0**-53
+        u = np.empty(_count(n, "uniforms"))
+        self._fill(u)
         return u
 
     def uniform(self) -> float:
@@ -124,7 +132,7 @@ class RngStream:
         """n standard normals (Box-Muller; odd n drops the last sine)."""
         n = _count(n, "normals")
         m = (n + 1) // 2
-        return _normals(self.uniforms(2 * m).reshape(m, 2), 2).T.reshape(2 * m)[:n]
+        return _rows(self, np.empty((2, m)), np.empty(2 * m), "normals").T.reshape(2 * m)[:n]
 
     def split(self, n: int) -> list["RngStream"]:
         """n independent substreams; advances this stream by one word."""
@@ -134,48 +142,54 @@ class RngStream:
 
 
 def substream(base: int, index: int) -> RngStream:
-    """Stream ``index`` derived from a base word: seed = mix64(base + (index+1)*SALT)."""
-    return RngStream(int(_splitmix(base, index, 1, _STREAM_SALT)[0]))
+    """Stream ``index`` of a base word: seed = mix64(base + (index+1)*SALT). Both must be integers."""
+    return RngStream(int(_splitmix(operator.index(base), operator.index(index), 1, _STREAM_SALT)[0]))
 
 
-def _normals(u: np.ndarray, k: int) -> np.ndarray:
-    """Box-Muller: uniforms (n, >= 2*ceil(k/2)) to k standard normals per row, shape (k, n).
+def _rows(rng: RngStream, out: np.ndarray, buf: np.ndarray, kind: str) -> np.ndarray:
+    """Draw ``n = out.shape[1]`` points into the contiguous rows of ``out`` (k, n); returns ``out``.
 
-    Columns 2j and 2j+1 of ``u`` form pair j: radius r = sqrt(-2 log(1 - u_2j)),
-    angle t = 2 pi u_2j+1, normals 2j = r cos t and 2j+1 = r sin t. For odd k
-    the sine of the last pair is not computed. Each normal is one contiguous
-    row, so every transcendental call reads and writes contiguous memory.
+    ``kind`` is "normals" (k standard normals per point), "sphere" (the
+    normals divided by their norm) or "ball" (scaled further by the radius
+    ``u**(1/3)`` of one more uniform). A point takes ``w`` words: one
+    Box-Muller pair per two normals, plus the radius's. The uniforms land
+    in ``buf`` (float64, at least ``w*n``), row-major (n, w). Pair j,
+    columns 2j and 2j+1, gives r = sqrt(-2 log(1 - u_2j)), t = 2 pi u_2j+1
+    and normals 2j = r cos t, 2j+1 = r sin t; for odd k the sine of the
+    last pair is not computed. r, t and the norms use the spent word array,
+    so every transcendental call reads and writes contiguous memory.
     """
-    g = np.empty((k, u.shape[0]))
+    k, n = out.shape
+    w = (k + 1) // 2 * 2 + (kind == "ball")
+    u = buf[: w * n]
+    z = rng._fill(u).view(np.float64)
+    u = u.reshape(n, w)
+    r, t = z[:n], z[n : 2 * n]
     for j in range(0, k, 2):
-        r = -u[:, j]
+        np.negative(u[:, j], out=r)
         np.log1p(r, out=r)
         r *= -2.0
         np.sqrt(r, out=r)
-        t = u[:, j + 1] * (2.0 * np.pi)
-        c = np.cos(t, out=g[j])
-        c *= r
+        np.multiply(u[:, j + 1], 2.0 * np.pi, out=t)
+        np.cos(t, out=out[j])
+        out[j] *= r
         if j + 1 < k:
-            s = np.sin(t, out=g[j + 1])
-            s *= r
-    return g
-
-
-def _norms(g: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column of g (k, n), summed left to right like ``add.reduce``."""
-    s = g[0] * g[0]
-    t = np.empty_like(s)
-    for row in g[1:]:
+            np.sin(t, out=out[j + 1])
+            out[j + 1] *= r
+    if kind == "normals":
+        return out
+    # Euclidean norms, summed left to right like add.reduce
+    np.multiply(out[0], out[0], out=r)
+    for row in out[1:]:
         np.multiply(row, row, out=t)
-        s += t
-    return np.sqrt(s, out=s)
-
-
-def _points(op, g: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """New C-contiguous (n, k) array whose column i is ``op(g[i], scale)``."""
-    out = np.empty((g.shape[1], g.shape[0]))
-    for i, row in enumerate(g):
-        op(row, scale, out=out[:, i])
+        r += t
+    np.sqrt(r, out=r)
+    if kind == "ball":
+        np.cbrt(u[:, -1], out=t)
+        t /= r
+        out *= t
+    else:
+        out /= r
     return out
 
 
@@ -187,25 +201,19 @@ def ball_samples(rng: RngStream, n: int) -> np.ndarray:
     1 for the radius u**(1/3).
     """
     n = _count(n, "points")
-    u = rng.uniforms(5 * n).reshape(n, 5)
-    g = _normals(u, 3)
-    s = np.cbrt(u[:, 4])
-    s /= _norms(g)
-    return _points(np.multiply, g, s)
+    return _rows(rng, np.empty((3, n)), np.empty(5 * n), "ball").T.copy()
 
 
 def sphere_samples(rng: RngStream, n: int) -> np.ndarray:
     """n points uniform on the unit 2-sphere, shape (n, 3); 4 uniforms each, 4th sine skipped."""
     n = _count(n, "points")
-    g = _normals(rng.uniforms(4 * n).reshape(n, 4), 3)
-    return _points(np.divide, g, _norms(g))
+    return _rows(rng, np.empty((3, n)), np.empty(4 * n), "sphere").T.copy()
 
 
 def sphere4_samples(rng: RngStream, n: int) -> np.ndarray:
     """n points uniform on the unit 3-sphere in R^4, shape (n, 4)."""
     n = _count(n, "points")
-    g = _normals(rng.uniforms(4 * n).reshape(n, 4), 4)
-    return _points(np.divide, g, _norms(g))
+    return _rows(rng, np.empty((4, n)), np.empty(4 * n), "sphere").T.copy()
 
 
 def map_batches(rng: RngStream, n: int, batch: int, fn, workers: int = 1) -> list:

@@ -18,7 +18,7 @@ import numpy as np
 from .channels import AffineChannel, _rotation_entries
 from .inverter import QuasiInverseResult
 from .metrics import mstd_analytic
-from .numerics import MAX_BATCHES, RngStream, map_batches, sphere4_samples
+from .numerics import MAX_BATCHES, RngStream, _rows, map_batches
 
 BRUTE_FORCE_MIN_SAMPLES = 10_000
 _BATCH = 65536
@@ -75,8 +75,9 @@ def brute_force_best(
 
     Samples come from substreams derived from one draw of ``rng`` in fixed
     batches, so the result is independent of the worker count. Each batch
-    is drawn and evaluated in chunks of ``_CHUNK`` rows; the first maximum
-    wins, as in one argmax over all samples.
+    is drawn and evaluated in chunks of ``_CHUNK`` points, held as the
+    contiguous rows (x0, x1, x2, x3) of one buffer per batch; the first
+    maximum wins, as in one argmax over all samples.
     """
     n = operator.index(n)
     if not BRUTE_FORCE_MIN_SAMPLES <= n <= BRUTE_FORCE_MAX_SAMPLES:
@@ -92,11 +93,13 @@ def brute_force_best(
         # the stream yields the same words chunk by chunk as in one draw, and
         # each row's delta depends on that row alone
         bests = []
+        buf = np.empty(8 * _CHUNK)
         for start in range(0, size, _CHUNK):
-            xs = sphere4_samples(stream, min(_CHUNK, size - start))
-            d = _delta_batch(e, xs, base_value)
+            k = min(_CHUNK, size - start)
+            g = _rows(stream, buf[: 4 * k].reshape(4, k), buf[4 * k :], "sphere")
+            d = _delta_batch(e, g.T, base_value)
             j = int(np.argmax(d))
-            bests.append((float(d[j]), xs[j].copy()))  # a view would keep the chunk alive
+            bests.append((float(d[j]), g[:, j].copy()))  # the buffer is rewritten by the next chunk
         return bests
 
     for bests in map_batches(rng, n, _BATCH, run_batch, workers):

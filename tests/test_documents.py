@@ -124,6 +124,14 @@ class TestDumps:
 
         assert rendered(np.array([0, 0, 1.0])) == rendered([0.0, 0.0, 1.0])
 
+    def test_numpy_bool_scalar_echoed_like_a_bool(self):
+        def rendered(note):
+            parsed = parse_channel_document({"type": "gad", "gamma": 0.3, "p": 0.2, "note": note})
+            return dumps(report_document(parsed, "mstd", mstd_analytic(parsed.affine)))
+
+        assert rendered(np.bool_(True)) == rendered(True)
+        assert dumps([np.bool_(False), np.array([True])]) == "[false, [true]]"
+
     def test_floats_roundtrip(self):
         values = [0.1, 1 / 3, np.sqrt(0.6), 1e-300, -0.0, 123456.789]
         text = dumps({"v": values})
@@ -237,7 +245,7 @@ def reference_dumps(obj, indent=None, level=0):
         return reference_dumps(obj.tolist(), indent, level)
     if obj is None:
         return "null"
-    if obj is True or obj is False:
+    if obj is True or obj is False or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -278,12 +286,12 @@ GOOD_LEAVES = [
     1.7976931348623157e308, 0.1, -2.5, 1 / 3, 1e16, 1e22, 123456789.0, 0, 1, -7, 10**30, -(10**30),
     True, False, None, "", "plain", "Bloch ψ café", 'quote " and \\', "\x00\x1f ", "\U0001f600",
     np.float64(-0.0), np.float64(1 / 3), np.float64(5e-324), np.float32(0.1), np.float16(-2.5),
-    np.int64(-7), np.uint64(2**64 - 1), np.int8(5),
+    np.int64(-7), np.uint64(2**64 - 1), np.int8(5), np.bool_(True), np.bool_(False),
     np.array([0.5, -0.0]), np.array([[1, 2], [3, 4]]), np.array([True, False]), np.array([]),
 ]
 BAD_LEAVES = [
     float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float32("inf"),
-    np.array([1.0, float("nan")]), object(), np.bool_(True), 1 + 2j, {1, 2}, b"bytes",
+    np.array([1.0, float("nan")]), object(), np.complex128(1j), 1 + 2j, {1, 2}, b"bytes",
 ]
 BAD_KEYS = [1, 2.5, None, ("t",), True]
 KEYS = ["a", "b", "", "ψ", 'k"ey', "\U0001f600", "x" * 20]

@@ -214,6 +214,69 @@ class TestChunkedMonteCarlo:
         assert peak < limit_mb * 1e6
 
 
+    @pytest.mark.parametrize("region", ["ball", "surface"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_million_points(self, region, workers):
+        e = kraus_to_affine(random_channel(RngStream(724), 4))
+        report = mstd_monte_carlo(e, 2**20, RngStream(44), region=region, workers=workers)
+        value, stderr = whole_batch_monte_carlo(e, 2**20, 44, region)
+        assert (report.value, report.stderr) == (value, stderr)
+
+    def test_calls_in_a_row_leave_nothing_behind(self):
+        # each call's workspaces serve its own batches only: a call after others of
+        # other regions, channels and sizes gives the bytes it gives on its own
+        channels = [kraus_to_affine(random_channel(RngStream(730 + i), 1 + i)) for i in range(4)]
+        calls = [
+            (channels[0], 40_000, "ball", 1), (channels[1], 1000, "surface", 2), (channels[2], 65_536, "ball", 2),
+            (channels[3], 8193, "surface", 1), (channels[0], 32_769, "surface", 2), (channels[1], 12_345, "ball", 1),
+        ]
+
+        def run(e, n, region, workers):
+            report = mstd_monte_carlo(e, n, RngStream(n), region=region, workers=workers)
+            return np.array([report.value, report.stderr]).tobytes()
+
+        alone = [run(*call) for call in reversed(calls)][::-1]
+        assert [run(*call) for call in calls] == alone
+        assert alone[0] == np.array(whole_batch_monte_carlo(*calls[0][:2], 40_000, "ball")).tobytes()
+
+    def test_more_threads_than_cores(self):
+        # the workspaces go between batches through one list; a workspace handed to
+        # two batches at once would mix their points
+        import sys
+
+        e = kraus_to_affine(random_channel(RngStream(725), 2))
+        serial = mstd_monte_carlo(e, 16 * 32_768 + 5, RngStream(45), workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = mstd_monte_carlo(e, 16 * 32_768 + 5, RngStream(45), workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (threaded.value, threaded.stderr) == (serial.value, serial.stderr)
+
+
+class TestRowLayoutArithmetic:
+    """The facts of this build that let the row layout keep the row-major code's bytes.
+
+    ``mstd_monte_carlo`` evaluates ``m @ P`` on contiguous rows P (3, k)
+    where the earlier code evaluated ``pts @ m.T`` on rows (k, 3), and it
+    sums each column's squares as ``(d0*d0 + d2*d2) + d1*d1``, the order
+    ``einsum("ij,ij->i")`` took on (k, 3) rows.
+    """
+
+    def test_matmul_on_rows_equals_matmul_on_points(self):
+        rng = RngStream(726)
+        for i in range(200):
+            m = kraus_to_affine(random_channel(rng, 1 + i % 4)).m
+            pts = ball_samples(rng, 8192)
+            assert (m @ np.ascontiguousarray(pts.T)).tobytes() == np.ascontiguousarray((pts @ m.T).T).tobytes()
+
+    def test_einsum_order(self):
+        d = ball_samples(RngStream(727), 30_000) - ball_samples(RngStream(728), 30_000)
+        d0, d1, d2 = d.T
+        assert np.einsum("ij,ij->i", d, d).tobytes() == ((d0 * d0 + d2 * d2) + d1 * d1).tobytes()
+
+
 def test_report_dataclass_roundtrip():
     report = MstdReport(value=0.1, method="analytic-ball")
     assert report.stderr is None and report.n_samples is None

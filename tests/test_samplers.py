@@ -78,6 +78,15 @@ class TestSplitMix64Reference:
             child.uniforms(3)
             assert child.u64() == word(child_seed, 3)
 
+    @pytest.mark.parametrize("base,index", [(5, 2.5), (5, 2.0), (5.0, 2), (5, "2")])
+    def test_substream_refuses_non_integers(self, base, index):
+        # substream(5, 2.5) returned the stream of substream(5, 2)
+        with pytest.raises(TypeError):
+            substream(base, index)
+
+    def test_substream_numpy_integers(self):
+        assert substream(np.uint64(5), np.int64(2)).seed == substream(5, 2).seed
+
 
 class TestWordCount:
     def test_negative_count_is_refused(self):
@@ -162,6 +171,45 @@ class TestSamplerContract:
 
     def test_ball_rows_inside(self):
         assert np.all(np.linalg.norm(ball_samples(RngStream(5), 32769), axis=1) <= 1.0)
+
+
+def row_layout_samples(rng: RngStream, n: int, words: int, k: int) -> np.ndarray:
+    """The samplers as point rows: uniforms (n, words), Box-Muller pairs into (k, n), norms, then a scatter.
+
+    ``words`` = 5 is the ball (the last uniform gives the radius u**(1/3));
+    otherwise the points are the normals divided by their norms.
+    """
+    u = rng.uniforms(words * n).reshape(n, words)
+    g = np.empty((k, n))
+    for j in range(0, k, 2):
+        r = np.sqrt(-2.0 * np.log1p(-u[:, j]))
+        t = u[:, j + 1] * (2.0 * np.pi)
+        g[j] = np.cos(t) * r
+        if j + 1 < k:
+            g[j + 1] = np.sin(t) * r
+    norms = g[0] * g[0]
+    for row in g[1:]:
+        norms += row * row
+    norms = np.sqrt(norms)
+    scale = np.cbrt(u[:, 4]) / norms if words == 5 else norms
+    out = np.empty((n, k))
+    for i in range(k):
+        out[:, i] = g[i] * scale if words == 5 else g[i] / scale
+    return out
+
+
+class TestRowLayoutReference:
+    """The samplers draw each point's coordinates as contiguous rows; the bytes are the row-layout formulas'."""
+
+    @pytest.mark.parametrize("sampler,words,k", [(ball_samples, 5, 3), (sphere_samples, 4, 3), (sphere4_samples, 4, 4)])
+    @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193])
+    def test_sampler_bytes(self, sampler, words, k, n):
+        rng, ref = RngStream(600 + n), RngStream(600 + n)
+        rng.uniforms(3)
+        ref.uniforms(3)
+        pts = sampler(rng, n)
+        assert pts.tobytes() == row_layout_samples(ref, n, words, k).tobytes()
+        assert rng.u64() == ref.u64()
 
 
 def _digest(a: np.ndarray) -> str:
