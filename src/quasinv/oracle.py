@@ -93,7 +93,7 @@ def brute_force_best(
         # the stream yields the same words chunk by chunk as in one draw, and
         # each row's delta depends on that row alone
         bests = []
-        buf = np.empty(8 * _CHUNK)
+        buf = np.empty(8 * _CHUNK)  # a chunk's 4 coordinate rows, then its 4 words per point
         for start in range(0, size, _CHUNK):
             k = min(_CHUNK, size - start)
             g = _rows(stream, buf[: 4 * k].reshape(4, k), buf[4 * k :], "sphere")
