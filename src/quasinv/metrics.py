@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AffineChannel, check_bloch
-from .numerics import MAX_BATCHES, RngStream, _rows, map_batches
+from .numerics import MAX_BATCHES, RngStream, _rows, _workspace, map_batches
 
 MC_MIN_SAMPLES = 1000
 _MC_BATCH = 32768
-# points of a batch drawn and evaluated at a time, in a worker's 720 KB workspace
-_MC_CHUNK = 8192
+# points of a batch drawn and evaluated at a time, in a worker's workspace of <= 11 words per point (1.44 MB)
+_MC_CHUNK = 16384
 MC_MAX_SAMPLES = MAX_BATCHES * _MC_BATCH  # 2^31
 
 METHOD_ANALYTIC_BALL = "analytic-ball"
@@ -112,10 +112,10 @@ def mstd_monte_carlo(
     draws ``_CHUNK`` rows at a time. A chunk's points are the contiguous
     rows of P (3, k); with Y = P - (M P + c), its squared distances are
     ``0.25 * ((y0*y0 + y2*y2) + y1*y1)``, summed in that order. Each worker
-    thread reuses one 720 KB workspace (P, Y and up to 5 words per point)
-    for all of its batches. The chunks fill one batch-sized array of
-    squared distances, and the two sums run over that whole array, so the
-    bytes are those of one draw per batch.
+    thread reuses one workspace (a step row, up to 5 word and 5 uniform
+    rows: 1.44 MB) for all of its batches; P lands on uniform rows, Y on word rows.
+    The chunks fill one batch-sized array of squared distances, and the two
+    sums run over that whole array, so the bytes are those of one draw per batch.
     """
     n = operator.index(n)
     if not MC_MIN_SAMPLES <= n <= MC_MAX_SAMPLES:
@@ -128,15 +128,16 @@ def mstd_monte_carlo(
         try:
             ws = spare.pop()
         except IndexError:
-            ws = np.empty(11 * _MC_CHUNK)  # P and Y (3 rows each), then up to 5 words per point
+            ws = _workspace(_MC_CHUNK, 3, kind)
+        buf = ws[1]
         # the stream yields the same words chunk by chunk as in one draw; summing
         # per chunk would change numpy's pairwise order, so the sums wait for d2
         d2 = np.empty(size)
         for start in range(0, size, _MC_CHUNK):
             out = d2[start : start + _MC_CHUNK]
             k = len(out)
-            p = _rows(stream, ws[: 3 * k].reshape(3, k), ws[6 * k :], kind)
-            y = np.matmul(m, p, out=ws[3 * k : 6 * k].reshape(3, k))
+            p = _rows(stream, k, 3, kind, ws)
+            y = np.matmul(m, p, out=buf[: 3 * k].reshape(3, k))
             y += c
             np.subtract(p, y, out=y)
             y *= y
@@ -144,8 +145,9 @@ def mstd_monte_carlo(
             y0 += y2  # the order einsum("ij,ij->i") took on (k, 3) rows, spelled out
             y0 += y1
             np.multiply(0.25, y0, out=out)
+        sums = float(d2.sum()), float(np.multiply(d2, d2, out=buf[:size]).sum())
         spare.append(ws)
-        return float(d2.sum()), float((d2 * d2).sum())
+        return sums
 
     total = 0.0
     total_sq = 0.0

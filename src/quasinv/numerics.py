@@ -7,18 +7,18 @@ generator is counter-based (splitmix64), so a given seed produces the same
 sample sequence, bit for bit, on every platform and NumPy version.
 
 One sampler core (``_rows``) serves ``RngStream.normals`` and the three
-samplers. It writes a chunk's points as contiguous rows (k, n) into
-buffers its caller owns: words, uniforms, Box-Muller normals and norms
-run in place there, and only the normals its caller returns are
-computed. Uniforms per point: ball 5 (two Box-Muller pairs for the
-direction, one uniform for the radius), sphere 4 and 3-sphere 4 (two
-pairs). The ball and the sphere keep three normals, so the sine of their
-second pair is never computed. Every step is the same floating-point
-operation on the same arguments as the plain formulas, so the outputs are
-bit-identical to those formulas. One batch helper (``map_batches``)
-cuts a sampled computation into fixed-size batches on substreams of one
-base word and runs them serially or on a thread pool, with the same
-results either way.
+samplers. It draws a chunk in column layout: the w words of n points are
+w contiguous rows (w, n), one broadcast add of a step row and w column
+words away from the mixer, and the mixer, the uniforms, Box-Muller, the
+norms and the radius run in place on rows of a workspace its caller owns.
+Uniforms per point: ball 5 (two Box-Muller pairs for the direction, one
+for the radius), sphere 4 and 3-sphere 4 (two pairs). The ball and the
+sphere keep three normals, so the sine of their second pair is never
+computed. Every step is the same floating-point operation on the same
+arguments as the plain formulas, so the outputs are bit-identical to
+those formulas. One batch helper (``map_batches``) cuts a sampled
+computation into fixed-size batches on substreams of one base word and
+runs them serially or on a thread pool, with the same results either way.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import operator
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_STREAM_SALT = np.uint64(0xD1B54A32D192ED03)
+_GAMMA = 0x9E3779B97F4A7C15
+_STREAM_SALT = 0xD1B54A32D192ED03
 _SHIFT_1, _SHIFT_2, _SHIFT_3 = np.uint64(30), np.uint64(27), np.uint64(31)
 _MULT_1, _MULT_2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _UNIFORM_SHIFT = np.uint64(11)  # keeps the top 53 bits of a word
@@ -51,26 +51,27 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _splitmix(seed: int, start: int, n: int, gamma: np.uint64, scratch=None) -> np.ndarray:
+def _mix(z: np.ndarray, t: np.ndarray) -> None:
+    """mix64, the splitmix64 finalizer, on the uint64 array ``z`` in place, with ``t`` as the one temporary."""
+    np.right_shift(z, _SHIFT_1, out=t)
+    z ^= t
+    z *= _MULT_1
+    np.right_shift(z, _SHIFT_2, out=t)
+    z ^= t
+    z *= _MULT_2
+    np.right_shift(z, _SHIFT_3, out=t)
+    z ^= t
+
+
+def _splitmix(seed: int, start: int, n: int, gamma: int, scratch=None) -> np.ndarray:
     """Words j = start+1 .. start+n of ``mix64(seed + j*gamma)`` (mod 2**64), a new uint64 array.
 
-    mix64 is the splitmix64 finalizer. Every step runs in place on the new
-    array of steps j, with ``scratch`` (n uint64 words, or a new array) as
-    the one temporary.
+    ``scratch`` (n uint64 words, or a new array) is the mixer's temporary.
     """
-    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    t = np.empty_like(z) if scratch is None else scratch
-    with np.errstate(over="ignore"):
-        z *= gamma
-        z += np.uint64(seed)
-        np.right_shift(z, _SHIFT_1, out=t)
-        z ^= t
-        z *= _MULT_1
-        np.right_shift(z, _SHIFT_2, out=t)
-        z ^= t
-        z *= _MULT_2
-        np.right_shift(z, _SHIFT_3, out=t)
-        z ^= t
+    z = np.arange(n, dtype=np.uint64)
+    z *= np.uint64(gamma)
+    z += np.uint64((seed + (start + 1) * gamma) & _MASK64)
+    _mix(z, np.empty_like(z) if scratch is None else scratch)
     return z
 
 
@@ -108,13 +109,6 @@ class RngStream:
         self._counter += n
         return out
 
-    def _fill(self, out: np.ndarray) -> np.ndarray:
-        """The next ``out.size`` uniforms into float64 ``out``, also the mixer's scratch; returns the spent words."""
-        z = self._words(out.size, out.view(np.uint64))
-        z >>= _UNIFORM_SHIFT
-        np.multiply(z, 2.0**-53, out=out)  # exact: z < 2**53
-        return z
-
     def u64(self) -> int:
         """One raw 64-bit word."""
         return int(self._words(1)[0])
@@ -122,7 +116,9 @@ class RngStream:
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform doubles in [0, 1)."""
         u = np.empty(_count(n, "uniforms"))
-        self._fill(u)
+        z = self._words(u.size, u.view(np.uint64))  # u is the mixer's scratch
+        z >>= _UNIFORM_SHIFT
+        np.multiply(z, 2.0**-53, out=u)  # exact: z < 2**53
         return u
 
     def uniform(self) -> float:
@@ -132,7 +128,7 @@ class RngStream:
         """n standard normals (Box-Muller; odd n drops the last sine)."""
         n = _count(n, "normals")
         m = (n + 1) // 2
-        return _rows(self, np.empty((2, m)), np.empty(2 * m), "normals").T.reshape(2 * m)[:n]
+        return _rows(self, m, 2, "normals").T.reshape(2 * m)[:n]
 
     def split(self, n: int) -> list["RngStream"]:
         """n independent substreams; advances this stream by one word."""
@@ -142,54 +138,83 @@ class RngStream:
 
 
 def substream(base: int, index: int) -> RngStream:
-    """Stream ``index`` of a base word: seed = mix64(base + (index+1)*SALT). Both must be integers."""
-    return RngStream(int(_splitmix(operator.index(base), operator.index(index), 1, _STREAM_SALT)[0]))
+    """Stream ``index`` (0..2**64-2) of a base word (mod 2**64): seed = mix64(base + (index+1)*SALT)."""
+    index = operator.index(index)
+    if not 0 <= index < _MASK64:
+        raise ValueError(f"substream index must be in 0..2**64-2, got {index}")
+    return RngStream(int(_splitmix(operator.index(base) & _MASK64, index, 1, _STREAM_SALT)[0]))
 
 
-def _rows(rng: RngStream, out: np.ndarray, buf: np.ndarray, kind: str) -> np.ndarray:
-    """Draw ``n = out.shape[1]`` points into the contiguous rows of ``out`` (k, n); returns ``out``.
+def _workspace(n: int, k: int, kind: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Buffers for ``_rows`` chunks of up to n points: the step row ``i * (w*GAMMA)``, 2*w*n doubles and w."""
+    w = (k + 1) // 2 * 2 + (kind == "ball")  # words per point: a Box-Muller pair per two normals, a radius
+    step = np.arange(n, dtype=np.uint64)
+    step *= np.uint64(w * _GAMMA & _MASK64)
+    return step, np.empty(2 * w * n), w
+
+
+def _uniform_rows(rng: RngStream, step: np.ndarray, buf: np.ndarray, w: int) -> np.ndarray:
+    """The next w*n uniforms (n = ``step.size``) as the contiguous rows (w, n) of ``buf[w*n : 2*w*n]``.
+
+    Uniform j of point i is stream word ``c + i*w + j`` (c the counter),
+    unmixed ``step[i] + col[j]`` with ``col[j] = seed + (c + j + 1)*GAMMA``
+    (mod 2**64). The words go into ``buf[:w*n]``, spent on return.
+    """
+    n, c = step.size, rng._counter
+    z = buf[: w * n].view(np.uint64).reshape(w, n)
+    u = buf[w * n : 2 * w * n].reshape(w, n)
+    col = np.array([(rng.seed + (c + j + 1) * _GAMMA) & _MASK64 for j in range(w)], dtype=np.uint64)
+    np.add(step, col[:, None], out=z)
+    rng._counter = c + w * n
+    _mix(z, u.view(np.uint64))
+    z >>= _UNIFORM_SHIFT
+    np.multiply(z, 2.0**-53, out=u)  # exact: z < 2**53
+    return u
+
+
+def _rows(rng: RngStream, n: int, k: int, kind: str, ws=None) -> np.ndarray:
+    """Draw n points as contiguous rows (k, n) of the workspace ``ws``; returns that view.
 
     ``kind`` is "normals" (k standard normals per point), "sphere" (the
     normals divided by their norm) or "ball" (scaled further by the radius
-    ``u**(1/3)`` of one more uniform). A point takes ``w`` words: one
-    Box-Muller pair per two normals, plus the radius's. The uniforms land
-    in ``buf`` (float64, at least ``w*n``), row-major (n, w). Pair j,
-    columns 2j and 2j+1, gives r = sqrt(-2 log(1 - u_2j)), t = 2 pi u_2j+1
-    and normals 2j = r cos t, 2j+1 = r sin t; for odd k the sine of the
-    last pair is not computed. r, t and the norms use the spent word array,
-    so every transcendental call reads and writes contiguous memory.
+    ``u**(1/3)`` of one more uniform). ``ws`` is ``_workspace(N, k, kind)``
+    for some N >= n, or new buffers. Pair j, uniform rows 2j and 2j+1,
+    gives r = sqrt(-2 log(1 - u_2j)), t = 2 pi u_2j+1 and normals
+    2j = r cos t, 2j+1 = r sin t, each step in one call over rows ``0::2``
+    and ``1::2``; for odd k the sine of the last pair is not computed. The
+    normals are written over spent uniform rows, r and the norms over the
+    spent words ``buf[:w*n]``, which the caller may reuse in turn.
     """
-    k, n = out.shape
-    w = (k + 1) // 2 * 2 + (kind == "ball")
-    u = buf[: w * n]
-    z = rng._fill(u).view(np.float64)
-    u = u.reshape(n, w)
-    r, t = z[:n], z[n : 2 * n]
-    for j in range(0, k, 2):
-        np.negative(u[:, j], out=r)
-        np.log1p(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        np.multiply(u[:, j + 1], 2.0 * np.pi, out=t)
-        np.cos(t, out=out[j])
-        out[j] *= r
-        if j + 1 < k:
-            np.sin(t, out=out[j + 1])
-            out[j + 1] *= r
+    step, buf, w = ws or _workspace(n, k, kind)
+    h = (k + 1) // 2 * 2
+    u = _uniform_rows(rng, step[:n], buf, w)
+    r = buf[: h // 2 * n].reshape(h // 2, n)
+    np.negative(u[0:h:2], out=r)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t = u[1:h:2]
+    t *= 2.0 * np.pi
+    np.cos(t, out=u[0:h:2])
+    np.sin(t[: k // 2], out=t[: k // 2])
+    pairs = u[:h].reshape(h // 2, 2, n)
+    np.multiply(pairs, r[:, None], out=pairs)
+    out = u[:k]
     if kind == "normals":
         return out
     # Euclidean norms, summed left to right like add.reduce
-    np.multiply(out[0], out[0], out=r)
-    for row in out[1:]:
-        np.multiply(row, row, out=t)
-        r += t
-    np.sqrt(r, out=r)
+    sq = buf[: k * n].reshape(k, n)
+    np.multiply(out, out, out=sq)
+    norm = sq[0]
+    for row in sq[1:]:
+        norm += row
+    np.sqrt(norm, out=norm)
     if kind == "ball":
-        np.cbrt(u[:, -1], out=t)
-        t /= r
-        out *= t
+        radius = np.cbrt(u[-1], out=u[-1])
+        radius /= norm
+        out *= radius
     else:
-        out /= r
+        out /= norm
     return out
 
 
@@ -201,19 +226,19 @@ def ball_samples(rng: RngStream, n: int) -> np.ndarray:
     1 for the radius u**(1/3).
     """
     n = _count(n, "points")
-    return _rows(rng, np.empty((3, n)), np.empty(5 * n), "ball").T.copy()
+    return _rows(rng, n, 3, "ball").T.copy()
 
 
 def sphere_samples(rng: RngStream, n: int) -> np.ndarray:
     """n points uniform on the unit 2-sphere, shape (n, 3); 4 uniforms each, 4th sine skipped."""
     n = _count(n, "points")
-    return _rows(rng, np.empty((3, n)), np.empty(4 * n), "sphere").T.copy()
+    return _rows(rng, n, 3, "sphere").T.copy()
 
 
 def sphere4_samples(rng: RngStream, n: int) -> np.ndarray:
     """n points uniform on the unit 3-sphere in R^4, shape (n, 4)."""
     n = _count(n, "points")
-    return _rows(rng, np.empty((4, n)), np.empty(4 * n), "sphere").T.copy()
+    return _rows(rng, n, 4, "sphere").T.copy()
 
 
 def map_batches(rng: RngStream, n: int, batch: int, fn, workers: int = 1) -> list:

@@ -187,7 +187,7 @@ def whole_batch_monte_carlo(e, n, seed, region):
 
 
 class TestChunkedMonteCarlo:
-    @pytest.mark.parametrize("n", [1000, 8191, 8193, 32_768, 32_769, 100_001])
+    @pytest.mark.parametrize("n", [1000, 8191, 8193, 16_383, 16_385, 32_768, 32_769, 49_153, 100_001])
     @pytest.mark.parametrize("region", ["ball", "surface"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_equals_whole_batch_reference(self, n, region, workers):
@@ -275,6 +275,41 @@ class TestRowLayoutArithmetic:
         d = ball_samples(RngStream(727), 30_000) - ball_samples(RngStream(728), 30_000)
         d0, d1, d2 = d.T
         assert np.einsum("ij,ij->i", d, d).tobytes() == ((d0 * d0 + d2 * d2) + d1 * d1).tobytes()
+
+
+class TestColumnLayoutArithmetic:
+    """The facts of this build that let the column layout keep the row-major code's bytes.
+
+    ``numerics._rows`` applies each elementwise function to contiguous rows,
+    or to the row pairs ``0::2`` and ``1::2`` of a block (w, n), where the
+    earlier code applied it to strided columns of row-major (n, w)
+    uniforms. Each function gets the arguments the samplers give it.
+    """
+
+    N = 100_003
+
+    @pytest.mark.parametrize(
+        "fn,arg",
+        [
+            (np.log1p, lambda u: -u),
+            (np.sqrt, lambda u: -2.0 * np.log1p(-u)),
+            (np.cos, lambda u: u * (2.0 * np.pi)),
+            (np.sin, lambda u: u * (2.0 * np.pi)),
+            (np.cbrt, lambda u: u),
+        ],
+    )
+    def test_same_bytes_in_every_layout(self, fn, arg):
+        rows = arg(RngStream(729).uniforms(4 * self.N)).reshape(4, self.N)
+        by_row = [fn(row).tobytes() for row in rows]
+        points = np.ascontiguousarray(rows.T)  # row-major (N, 4): column j is strided
+        assert [fn(points[:, j]).tobytes() for j in range(4)] == by_row
+        for first in (0, 1):
+            pair = np.empty((2, self.N))
+            fn(rows[first::2], out=pair)
+            assert [pair[0].tobytes(), pair[1].tobytes()] == by_row[first::2]
+        in_place = rows.copy()
+        fn(in_place[1::2], out=in_place[1::2])
+        assert [in_place[1].tobytes(), in_place[3].tobytes()] == by_row[1::2]
 
 
 def test_report_dataclass_roundtrip():

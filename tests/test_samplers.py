@@ -87,6 +87,24 @@ class TestSplitMix64Reference:
     def test_substream_numpy_integers(self):
         assert substream(np.uint64(5), np.int64(2)).seed == substream(5, 2).seed
 
+    @pytest.mark.parametrize("base", [-1, -(2**70) + 3, 2**64 + 7, 2**65 - 1])
+    def test_substream_base_is_taken_mod_2_64(self, base):
+        # substream(-1, 3) raised numpy's OverflowError, where RngStream(-1) masks its seed
+        for index in (0, 3):
+            assert substream(base, index).seed == mix64((base + (index + 1) * SALT) & MASK)
+            assert substream(base, index).seed == substream(base & MASK, index).seed
+
+    @pytest.mark.parametrize("index", [0, 2**64 - 2])
+    def test_substream_index_range_ends(self, index):
+        # both ends of the range keep their streams; 2**64 - 1 would repeat the seed of index -1
+        assert substream(0, index).seed == mix64(((index + 1) * SALT) & MASK)
+
+    @pytest.mark.parametrize("index", [-1, -2, 2**64 - 1, 2**64, -(2**64)])
+    def test_substream_index_out_of_range_is_refused(self, index):
+        # substream(7, -1) silently returned the stream at counter 0
+        with pytest.raises(ValueError, match=rf"^substream index must be in 0\.\.2\*\*64-2, got {index}$"):
+            substream(7, index)
+
 
 class TestWordCount:
     def test_negative_count_is_refused(self):
@@ -198,11 +216,23 @@ def row_layout_samples(rng: RngStream, n: int, words: int, k: int) -> np.ndarray
     return out
 
 
+def row_layout_normals(rng: RngStream, n: int) -> np.ndarray:
+    """RngStream.normals as point rows: uniforms (m, 2), one Box-Muller pair per point, interleaved."""
+    m = (n + 1) // 2
+    u = rng.uniforms(2 * m).reshape(m, 2)
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+    t = u[:, 1] * (2.0 * np.pi)
+    out = np.empty((m, 2))
+    out[:, 0] = np.cos(t) * r
+    out[:, 1] = np.sin(t) * r
+    return out.reshape(2 * m)[:n]
+
+
 class TestRowLayoutReference:
     """The samplers draw each point's coordinates as contiguous rows; the bytes are the row-layout formulas'."""
 
     @pytest.mark.parametrize("sampler,words,k", [(ball_samples, 5, 3), (sphere_samples, 4, 3), (sphere4_samples, 4, 4)])
-    @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193])
+    @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 16383, 16384, 16385])
     def test_sampler_bytes(self, sampler, words, k, n):
         rng, ref = RngStream(600 + n), RngStream(600 + n)
         rng.uniforms(3)
@@ -210,6 +240,36 @@ class TestRowLayoutReference:
         pts = sampler(rng, n)
         assert pts.tobytes() == row_layout_samples(ref, n, words, k).tobytes()
         assert rng.u64() == ref.u64()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 8191, 8192, 16383, 16384, 16385, 32769])
+    def test_normals_bytes(self, n):
+        rng, ref = RngStream(650 + n), RngStream(650 + n)
+        rng.uniforms(3)
+        ref.uniforms(3)
+        assert rng.normals(n).tobytes() == row_layout_normals(ref, n).tobytes()
+        assert rng.u64() == ref.u64()
+
+
+class TestColumnWords:
+    """The sampler core's uniforms, drawn as rows (w, n) from a step row, are the stream's next w*n uniforms."""
+
+    @pytest.mark.parametrize("k,kind,w", [(2, "normals", 2), (4, "sphere", 4), (3, "ball", 5)])
+    @pytest.mark.parametrize("n", [1, 7, 4096, 16385])
+    def test_uniform_rows_are_the_stream_read_by_columns(self, k, kind, w, n):
+        from quasinv.numerics import _uniform_rows, _workspace
+
+        rng, ref = RngStream(2**64 - 1), RngStream(2**64 - 1)
+        rng.uniforms(1234)
+        ref.uniforms(1234)
+        step, buf, width = _workspace(n + 5, k, kind)  # a workspace for longer chunks than this one
+        assert width == w
+        buf[:] = np.nan
+        u = _uniform_rows(rng, step[:n], buf, w)
+        assert u.shape == (w, n) and u.flags.c_contiguous
+        assert u.tobytes() == np.ascontiguousarray(ref.uniforms(w * n).reshape(n, w).T).tobytes()
+        assert rng._counter == ref._counter == 1234 + w * n
+        assert rng.u64() == ref.u64()
+        assert np.isnan(buf[2 * w * n :]).all()  # nothing written past the uniform rows
 
 
 def _digest(a: np.ndarray) -> str:
