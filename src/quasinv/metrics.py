@@ -23,7 +23,8 @@ from .numerics import MAX_BATCHES, RngStream, _rows, _workspace, map_batches
 
 MC_MIN_SAMPLES = 1000
 _MC_BATCH = 32768
-# points of a batch drawn and evaluated at a time, in a worker's workspace of <= 11 words per point (1.44 MB)
+# points of a batch drawn and evaluated at a time, in a worker's workspace of 7 words per point (0.92 MB):
+# a step row, then 6 rows that hold a chunk's 2 or 3 generator words per point with their mixer scratch, then P and Y
 _MC_CHUNK = 16384
 MC_MAX_SAMPLES = MAX_BATCHES * _MC_BATCH  # 2^31
 
@@ -112,8 +113,8 @@ def mstd_monte_carlo(
     draws ``_CHUNK`` rows at a time. A chunk's points are the contiguous
     rows of P (3, k); with Y = P - (M P + c), its squared distances are
     ``0.25 * ((y0*y0 + y2*y2) + y1*y1)``, summed in that order. Each worker
-    thread reuses one workspace (a step row, up to 5 word and 5 uniform
-    rows: 1.44 MB) for all of its batches; P lands on uniform rows, Y on word rows.
+    thread reuses one workspace (a step row and 6 rows: 0.92 MB) for all of
+    its batches; P lands on rows 3 .. 5, Y on the spent rows 0 .. 2.
     The chunks fill one batch-sized array of squared distances, and the two
     sums run over that whole array, so the bytes are those of one draw per batch.
     """
@@ -128,7 +129,7 @@ def mstd_monte_carlo(
         try:
             ws = spare.pop()
         except IndexError:
-            ws = _workspace(_MC_CHUNK, 3, kind)
+            ws = _workspace(_MC_CHUNK, kind)
         buf = ws[1]
         # the stream yields the same words chunk by chunk as in one draw; summing
         # per chunk would change numpy's pairwise order, so the sums wait for d2
@@ -136,7 +137,7 @@ def mstd_monte_carlo(
         for start in range(0, size, _MC_CHUNK):
             out = d2[start : start + _MC_CHUNK]
             k = len(out)
-            p = _rows(stream, k, 3, kind, ws)
+            p = _rows(stream, k, kind, ws)
             y = np.matmul(m, p, out=buf[: 3 * k].reshape(3, k))
             y += c
             np.subtract(p, y, out=y)

@@ -3,22 +3,25 @@
 Eigenpairs come from LAPACK (``np.linalg.eigh``/``eigvalsh``) with a fixed
 eigenvector sign convention and a stable descending order, so solver
 outputs are reproducible to rounding across BLAS builds. The random number
-generator is counter-based (splitmix64), so a given seed produces the same
-sample sequence, bit for bit, on every platform and NumPy version.
+generator is counter-based (splitmix64): a given seed gives the same words
+and the same uniforms, bit for bit, on every platform and NumPy version.
+Sampled floats rest in addition on IEEE basic operations, ``sqrt``, libm's
+``cos`` and ``sin``, NumPy's ``cbrt`` loop and, for normals, its ``log1p``
+loop, so they are bit-identical wherever those give the same bytes.
 
 One sampler core (``_rows``) serves ``RngStream.normals`` and the three
 samplers. It draws a chunk in column layout: the w words of n points are
 w contiguous rows (w, n), one broadcast add of a step row and w column
-words away from the mixer, and the mixer, the uniforms, Box-Muller, the
-norms and the radius run in place on rows of a workspace its caller owns.
-Uniforms per point: ball 5 (two Box-Muller pairs for the direction, one
-for the radius), sphere 4 and 3-sphere 4 (two pairs). The ball and the
-sphere keep three normals, so the sine of their second pair is never
-computed. Every step is the same floating-point operation on the same
-arguments as the plain formulas, so the outputs are bit-identical to
-those formulas. One batch helper (``map_batches``) cuts a sampled
-computation into fixed-size batches on substreams of one base word and
-runs them serially or on a thread pool, with the same results either way.
+words away from the mixer, and every later step runs in place on rows of
+a workspace its caller owns: a step row and six rows of n doubles. Words
+per point: sphere 2 (z = 2u - 1 by Archimedes' hat-box theorem and an
+angle), ball 3 (the sphere and a radius cbrt(u'')), 3-sphere 3
+(Shoemake's construction), normals 2 per pair (Box-Muller). No sampler
+takes a logarithm or a norm. Every step is the same floating-point
+operation on the same arguments as the plain formulas, so the outputs are
+bit-identical to those formulas. One batch helper (``map_batches``) cuts a
+sampled computation into fixed-size batches on substreams of one base word
+and runs them serially or on a thread pool, with the same results either way.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ SIGN_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 # Most batches map_batches cuts one computation into.
 MAX_BATCHES = 1 << 16
+# Generator words per point of each kind of ``_rows``.
+_WORDS = {"normals": 2, "sphere": 2, "ball": 3, "sphere4": 3}
 
 
 class ConvergenceError(RuntimeError):
@@ -89,11 +94,13 @@ class RngStream:
     Word ``j`` of a stream with seed ``s`` is ``mix64(s + (j+1)*GAMMA)``
     where GAMMA = 0x9E3779B97F4A7C15 and mix64 is the splitmix64
     finalizer; all arithmetic is mod 2**64. State is just (seed, counter),
-    so sequences are bit-identical everywhere. Uniform doubles take the
-    top 53 bits of a word: ``(w >> 11) * 2**-53``. Normals come from
-    Box-Muller pairs; ``normals(n)`` consumes 2*ceil(n/2) uniforms. Every
-    count goes through ``operator.index``, and a negative one raises
-    ValueError before any word is drawn.
+    so the words are bit-identical everywhere. Uniform doubles take the
+    top 53 bits of a word: ``(w >> 11) * 2**-53``, exact everywhere too.
+    Normals come from Box-Muller pairs; ``normals(n)`` consumes
+    2*ceil(n/2) uniforms and rests on libm's ``cos``/``sin`` and NumPy's
+    ``log1p``. The samplers take 2 (sphere) or 3 (ball, 3-sphere) words
+    per point, see ``_rows``. Every count goes through ``operator.index``,
+    and a negative one raises ValueError before any word is drawn.
     """
 
     def __init__(self, seed: int):
@@ -128,7 +135,7 @@ class RngStream:
         """n standard normals (Box-Muller; odd n drops the last sine)."""
         n = _count(n, "normals")
         m = (n + 1) // 2
-        return _rows(self, m, 2, "normals").T.reshape(2 * m)[:n]
+        return _rows(self, m, "normals").T.reshape(2 * m)[:n]
 
     def split(self, n: int) -> list["RngStream"]:
         """n independent substreams; advances this stream by one word."""
@@ -145,24 +152,24 @@ def substream(base: int, index: int) -> RngStream:
     return RngStream(int(_splitmix(operator.index(base) & _MASK64, index, 1, _STREAM_SALT)[0]))
 
 
-def _workspace(n: int, k: int, kind: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """Buffers for ``_rows`` chunks of up to n points: the step row ``i * (w*GAMMA)``, 2*w*n doubles and w."""
-    w = (k + 1) // 2 * 2 + (kind == "ball")  # words per point: a Box-Muller pair per two normals, a radius
+def _workspace(n: int, kind: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Buffers for ``_rows`` chunks of up to n points of a kind: the step row ``i * (w*GAMMA)``, 6*n doubles and w."""
+    w = _WORDS[kind]
     step = np.arange(n, dtype=np.uint64)
     step *= np.uint64(w * _GAMMA & _MASK64)
-    return step, np.empty(2 * w * n), w
+    return step, np.empty(6 * n), w
 
 
-def _uniform_rows(rng: RngStream, step: np.ndarray, buf: np.ndarray, w: int) -> np.ndarray:
-    """The next w*n uniforms (n = ``step.size``) as the contiguous rows (w, n) of ``buf[w*n : 2*w*n]``.
+def _uniform_rows(rng: RngStream, step: np.ndarray, b: np.ndarray, w: int) -> np.ndarray:
+    """The next w*n uniforms (n = ``step.size``) as rows 3 .. 3+w of the block ``b`` (6, n).
 
     Uniform j of point i is stream word ``c + i*w + j`` (c the counter),
     unmixed ``step[i] + col[j]`` with ``col[j] = seed + (c + j + 1)*GAMMA``
-    (mod 2**64). The words go into ``buf[:w*n]``, spent on return.
+    (mod 2**64). The words go into rows 0 .. w, spent on return.
     """
     n, c = step.size, rng._counter
-    z = buf[: w * n].view(np.uint64).reshape(w, n)
-    u = buf[w * n : 2 * w * n].reshape(w, n)
+    z = b[:w].view(np.uint64)
+    u = b[3 : 3 + w]
     col = np.array([(rng.seed + (c + j + 1) * _GAMMA) & _MASK64 for j in range(w)], dtype=np.uint64)
     np.add(step, col[:, None], out=z)
     rng._counter = c + w * n
@@ -172,73 +179,101 @@ def _uniform_rows(rng: RngStream, step: np.ndarray, buf: np.ndarray, w: int) -> 
     return u
 
 
-def _rows(rng: RngStream, n: int, k: int, kind: str, ws=None) -> np.ndarray:
-    """Draw n points as contiguous rows (k, n) of the workspace ``ws``; returns that view.
+def _circle(u: np.ndarray, amp: np.ndarray, chi: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray) -> None:
+    """sin chi and cos chi into two rows, where amp * (sin chi, cos chi) is the input amp * (cos 2 pi u, sin 2 pi u).
 
-    ``kind`` is "normals" (k standard normals per point), "sphere" (the
-    normals divided by their norm) or "ball" (scaled further by the radius
-    ``u**(1/3)`` of one more uniform). ``ws`` is ``_workspace(N, k, kind)``
-    for some N >= n, or new buffers. Pair j, uniform rows 2j and 2j+1,
-    gives r = sqrt(-2 log(1 - u_2j)), t = 2 pi u_2j+1 and normals
-    2j = r cos t, 2j+1 = r sin t, each step in one call over rows ``0::2``
-    and ``1::2``; for odd k the sine of the last pair is not computed. The
-    normals are written over spent uniform rows, r and the norms over the
-    spent words ``buf[:w*n]``, which the caller may reuse in turn.
+    With a = 1/2 - u, chi = 2 pi (a - copysign(1/4, a)) and amp takes the
+    sign of a: then (cos 2 pi u, sin 2 pi u) = sign(a) (sin chi, cos chi).
+    chi lies in [-pi/2, pi/2], where libm's cos and sin cost about two
+    thirds of what they cost on [0, 2 pi); a and the difference are exact,
+    so chi rounds once. All in place: u is left holding a, and chi may be
+    cos_out.
     """
-    step, buf, w = ws or _workspace(n, k, kind)
-    h = (k + 1) // 2 * 2
-    u = _uniform_rows(rng, step[:n], buf, w)
-    r = buf[: h // 2 * n].reshape(h // 2, n)
-    np.negative(u[0:h:2], out=r)
-    np.log1p(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    t = u[1:h:2]
-    t *= 2.0 * np.pi
-    np.cos(t, out=u[0:h:2])
-    np.sin(t[: k // 2], out=t[: k // 2])
-    pairs = u[:h].reshape(h // 2, 2, n)
-    np.multiply(pairs, r[:, None], out=pairs)
-    out = u[:k]
+    np.subtract(0.5, u, out=u)
+    np.copysign(0.25, u, out=chi)
+    np.subtract(u, chi, out=chi)
+    chi *= 2.0 * np.pi
+    np.copysign(amp, u, out=amp)
+    np.sin(chi, out=sin_out)
+    np.cos(chi, out=cos_out)
+
+
+def _rows(rng: RngStream, n: int, kind: str, ws=None) -> np.ndarray:
+    """Draw n points of a kind as contiguous rows (k, n) of the workspace ``ws``; returns that view.
+
+    ``ws`` is ``_workspace(N, kind)`` for some N >= n, or new buffers.
+    Point i takes the uniforms u, u', u'' of its words, in that order:
+
+    - "normals" (2 words, k = 2): Box-Muller, r = sqrt(-2 log(1 - u)),
+      t = 2 pi u', normals (r cos t, r sin t);
+    - "sphere" (2 words, k = 3): z = 2u - 1, rho = sqrt((1 - z)(1 + z)),
+      phi = 2 pi u', point (rho cos phi, rho sin phi, z);
+    - "ball" (3 words, k = 3): the sphere point scaled by cbrt(u'');
+    - "sphere4" (3 words, k = 4): (sqrt(1-u) sin 2 pi u', sqrt(1-u) cos 2 pi u',
+      sqrt(u) sin 2 pi u'', sqrt(u) cos 2 pi u'').
+
+    The samplers' angles go through ``_circle``. Each step is one call over
+    rows of the block (6, n) at the start of the buffer: the words take
+    rows 0 .. w and the uniforms rows 3 .. 3+w, and the points land on
+    rows 3 .. 5 (3 .. 4 for normals, 2 .. 5 for sphere4), so rows 0 .. 2
+    are spent and free to the caller once the points are drawn.
+    """
+    step, buf, w = ws or _workspace(n, kind)
+    b = buf[: 6 * n].reshape(6, n)
+    u = _uniform_rows(rng, step[:n], b, w)
     if kind == "normals":
-        return out
-    # Euclidean norms, summed left to right like add.reduce
-    sq = buf[: k * n].reshape(k, n)
-    np.multiply(out, out, out=sq)
-    norm = sq[0]
-    for row in sq[1:]:
-        norm += row
-    np.sqrt(norm, out=norm)
+        r, t = b[0], u[1]
+        np.negative(u[0], out=r)
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        t *= 2.0 * np.pi
+        np.cos(t, out=u[0])
+        np.sin(t, out=t)
+        u *= r
+        return u
+    if kind == "sphere4":
+        np.subtract(1.0, u[0], out=b[0])
+        np.sqrt(b[0], out=b[0])
+        np.sqrt(u[0], out=b[1])
+        # rows 2 .. 5 get (cos chi, sin chi) of u' and of u'': times amp, (sin, cos) of 2 pi u' and 2 pi u''
+        _circle(u[1], b[0], b[2], b[3], b[2])
+        _circle(u[2], b[1], b[4], b[5], b[4])
+        pairs = b[2:].reshape(2, 2, n)
+        np.multiply(pairs, b[:2, None], out=pairs)
+        return b[2:]
+    rho, tmp, r, z = b[0], b[1], b[2], b[5]
     if kind == "ball":
-        radius = np.cbrt(u[-1], out=u[-1])
-        radius /= norm
-        out *= radius
-    else:
-        out /= norm
-    return out
+        np.cbrt(u[2], out=r)  # before z overwrites u''
+    np.multiply(u[0], 2.0, out=z)
+    z -= 1.0
+    np.subtract(1.0, z, out=rho)
+    np.add(z, 1.0, out=tmp)
+    rho *= tmp
+    np.sqrt(rho, out=rho)
+    _circle(u[1], rho, tmp, b[3], b[4])
+    b[3:5] *= rho
+    if kind == "ball":
+        b[3:] *= r
+    return b[3:]
 
 
 def ball_samples(rng: RngStream, n: int) -> np.ndarray:
-    """n points uniform in the unit ball, shape (n, 3).
-
-    Each point consumes 5 uniforms: 4 for two Box-Muller pairs giving the
-    direction (the 4th normal is dropped, so its sine is never computed),
-    1 for the radius u**(1/3).
-    """
+    """n points uniform in the unit ball, shape (n, 3); 3 words each (see ``_rows``)."""
     n = _count(n, "points")
-    return _rows(rng, n, 3, "ball").T.copy()
+    return _rows(rng, n, "ball").T.copy()
 
 
 def sphere_samples(rng: RngStream, n: int) -> np.ndarray:
-    """n points uniform on the unit 2-sphere, shape (n, 3); 4 uniforms each, 4th sine skipped."""
+    """n points uniform on the unit 2-sphere, shape (n, 3); 2 words each, z = 2u - 1 by Archimedes' theorem."""
     n = _count(n, "points")
-    return _rows(rng, n, 3, "sphere").T.copy()
+    return _rows(rng, n, "sphere").T.copy()
 
 
 def sphere4_samples(rng: RngStream, n: int) -> np.ndarray:
-    """n points uniform on the unit 3-sphere in R^4, shape (n, 4)."""
+    """n points uniform on the unit 3-sphere in R^4, shape (n, 4); 3 words each (Shoemake's construction)."""
     n = _count(n, "points")
-    return _rows(rng, n, 4, "sphere").T.copy()
+    return _rows(rng, n, "sphere4").T.copy()
 
 
 def map_batches(rng: RngStream, n: int, batch: int, fn, workers: int = 1) -> list:

@@ -93,10 +93,10 @@ def brute_force_best(
         # the stream yields the same words chunk by chunk as in one draw, and
         # each row's delta depends on that row alone
         bests = []
-        ws = _workspace(_CHUNK, 4, "sphere")
+        ws = _workspace(_CHUNK, "sphere4")
         for start in range(0, size, _CHUNK):
             k = min(_CHUNK, size - start)
-            g = _rows(stream, k, 4, "sphere", ws)
+            g = _rows(stream, k, "sphere4", ws)
             d = _delta_batch(e, g.T, base_value)
             j = int(np.argmax(d))
             bests.append((float(d[j]), g[:, j].copy()))  # the buffer is rewritten by the next chunk

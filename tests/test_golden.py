@@ -171,19 +171,19 @@ MIXED_UNITARY_DOCUMENT = json.dumps({"type": "mixed_unitary", "p": 0.3, "theta":
 
 SAMPLED_SHA256 = [
     (["mstd", "-", "--monte-carlo", "100000", "--seed", "7"], PAULI_DOCUMENT,
-     "44ad7b0cfb36948b3b3ff880922cd38047620e58ec9bd27dc893a4823bd89e94"),
+     "9b55993b1d226529804ebe948c19bd5643efae69f09174cf5af207cf8fa0001e"),
     (["mstd", "-", "--monte-carlo", "100000", "--seed", "7", "--surface"], PAULI_DOCUMENT,
-     "48edf28a28b49754062ec656db47e90e5c4dbd787192347c1da707f675874eef"),
+     "4a5a72c32814bc9a40ce4791605fe2a5ccdd30617077ae73e780c38e03e25008"),
     (["verify", "-", "--samples", "100000", "--seed", "3"], PAULI_DOCUMENT,
      "c765a5ade749543766b1a2ab41f8e2139733075b2d4a4312d2f2f0b8a6aed1e4"),
     (["verify", "-", "--samples", "100000", "--seed", "3"], MIXED_UNITARY_DOCUMENT,
-     "16064544f0e82a92ed408b196e4dedc2e5677d13bbbe7c85b0db4eca2b0045d1"),
+     "c06077cd0295431331de4ed3fabd534a1ceb96b7fa3a86b3cd9ca1011d369aab"),
 ]
 
 SAMPLER_SHA256 = [
-    (lambda: ball_samples(RngStream(1), 1001), "af9df6f049cbbe283a0bdb6bf5cc278054343e5d2e987caa14819917cd5f9174"),
-    (lambda: sphere_samples(RngStream(2), 1001), "9eb0e80b19c341d515e1f1f05d8571816ead46725d212eac9cb0d17c9c2dfe63"),
-    (lambda: sphere4_samples(RngStream(3), 1001), "85ae3f4ecda1b69d9c09aa874f46d3edad9d1c9b4062b93ef3dafe2d7b6dab11"),
+    (lambda: ball_samples(RngStream(1), 1001), "4f0c251fb78d4ee0385dc54d772c5d11eecdb1f557d15bcae8f5485cd050212a"),
+    (lambda: sphere_samples(RngStream(2), 1001), "a0de72966633aa69efc1bfbcab58ed80583bbab60852165fc1ccd9d832f4df8a"),
+    (lambda: sphere4_samples(RngStream(3), 1001), "a5bd869952404a1d9548d70fe33262e828e2d468d246f8ca0bd140950aa09f4a"),
     (lambda: RngStream(4).normals(1001), "e374966e2c8295b2750e521d15a5b200f50ec7cf3da40f75acbe1abae767671a"),
 ]
 

@@ -158,6 +158,23 @@ class TestMonteCarlo:
         b = mstd_monte_carlo(DEPOLARIZING, 50_000, RngStream(410))
         assert a.value == b.value and a.stderr == b.stderr
 
+    @pytest.mark.parametrize("region,k2,k4", [("ball", 1 / 5, 1 / 35), ("surface", 1 / 3, 1 / 15)])
+    @pytest.mark.parametrize("seed,kraus", [(760, 3), (761, 4)])
+    def test_spread_is_the_exact_standard_deviation(self, region, k2, k4, seed, kraus):
+        # d2 = |A r - c|^2 / 4 with A = I - M. For an isotropic r with E r_i r_j = k2 d_ij and
+        # E r_i r_j r_k r_l = k4 (d_ij d_kl + d_ik d_jl + d_il d_jk), and B = A^T A, b = A^T c:
+        # SD(d2) = sqrt(k4 ((Tr B)^2 + 2 Tr B^2) - (k2 Tr B)^2 + 4 k2 |b|^2) / 4.
+        # A sampler with the right mean but the wrong measure moves it.
+        e = kraus_to_affine(random_channel(RngStream(seed), kraus))
+        assert np.all(np.abs(e.m) > 1e-3)  # a full M: every entry counts
+        a = np.eye(3) - e.m
+        big_b, b = a.T @ a, a.T @ e.c
+        tr = np.trace(big_b)
+        exact = 0.25 * np.sqrt(k4 * (tr * tr + 2.0 * np.trace(big_b @ big_b)) - (k2 * tr) ** 2 + 4.0 * k2 * (b @ b))
+        n = 2**20
+        report = mstd_monte_carlo(e, n, RngStream(seed + 10), region=region)
+        assert report.stderr * np.sqrt(n) == pytest.approx(exact, rel=0.03)
+
     def test_agrees_with_analytic_across_channels(self):
         rng = RngStream(411)
         hits = 0
@@ -204,7 +221,9 @@ class TestChunkedMonteCarlo:
         import tracemalloc
 
         e = kraus_to_affine(random_channel(RngStream(723), 3))
-        mstd_monte_carlo(e, 1000, RngStream(0), region=region)  # first-call allocations are not the batch's
+        # first-call allocations are not the batches': a warm-up with the case's own sample and worker
+        # counts also starts the case's thread pool once, with its first import of concurrent.futures
+        mstd_monte_carlo(e, n, RngStream(0), region=region, workers=workers)
         tracemalloc.start()
         try:
             mstd_monte_carlo(e, n, RngStream(12), region=region, workers=workers)
@@ -277,13 +296,19 @@ class TestRowLayoutArithmetic:
         assert np.einsum("ij,ij->i", d, d).tobytes() == ((d0 * d0 + d2 * d2) + d1 * d1).tobytes()
 
 
-class TestColumnLayoutArithmetic:
-    """The facts of this build that let the column layout keep the row-major code's bytes.
+def _folded_angle(u):
+    """The angle 2 pi u folded into [-pi/2, pi/2] as ``numerics._circle`` folds it."""
+    a = 0.5 - u
+    return (a - np.copysign(0.25, a)) * (2.0 * np.pi)
 
-    ``numerics._rows`` applies each elementwise function to contiguous rows,
-    or to the row pairs ``0::2`` and ``1::2`` of a block (w, n), where the
-    earlier code applied it to strided columns of row-major (n, w)
-    uniforms. Each function gets the arguments the samplers give it.
+
+class TestColumnLayoutArithmetic:
+    """The facts of this build that let the column layout give the plain formulas' bytes.
+
+    ``numerics._rows`` applies each elementwise function to contiguous rows
+    (w, n), where the plain formulas in ``test_samplers`` apply it to
+    strided columns of row-major (n, w) uniforms. Each function gets the
+    arguments the samplers give it.
     """
 
     N = 100_003
@@ -295,6 +320,11 @@ class TestColumnLayoutArithmetic:
             (np.sqrt, lambda u: -2.0 * np.log1p(-u)),
             (np.cos, lambda u: u * (2.0 * np.pi)),
             (np.sin, lambda u: u * (2.0 * np.pi)),
+            (np.sqrt, lambda u: (2.0 - 2.0 * u) * (2.0 * u)),
+            (np.sqrt, lambda u: u),
+            (np.sqrt, lambda u: 1.0 - u),
+            (np.cos, lambda u: _folded_angle(u)),
+            (np.sin, lambda u: _folded_angle(u)),
             (np.cbrt, lambda u: u),
         ],
     )
@@ -303,13 +333,10 @@ class TestColumnLayoutArithmetic:
         by_row = [fn(row).tobytes() for row in rows]
         points = np.ascontiguousarray(rows.T)  # row-major (N, 4): column j is strided
         assert [fn(points[:, j]).tobytes() for j in range(4)] == by_row
-        for first in (0, 1):
-            pair = np.empty((2, self.N))
-            fn(rows[first::2], out=pair)
-            assert [pair[0].tobytes(), pair[1].tobytes()] == by_row[first::2]
         in_place = rows.copy()
-        fn(in_place[1::2], out=in_place[1::2])
-        assert [in_place[1].tobytes(), in_place[3].tobytes()] == by_row[1::2]
+        for row in in_place:
+            fn(row, out=row)
+        assert [row.tobytes() for row in in_place] == by_row
 
 
 def test_report_dataclass_roundtrip():

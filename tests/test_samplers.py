@@ -1,14 +1,17 @@
 """The random number generator and the samplers against references that share no code with them.
 
 The SplitMix64 words are recomputed in plain Python integers mod 2**64
-from the formula in the ``RngStream`` docstring. The digests below were
-captured from the sampler code written as plain array formulas
-(``(w >> 11) * 2**-53``, Box-Muller with both normals of every pair,
-``np.linalg.norm`` row norms); they pin the bytes the in-place kernels
-must reproduce beyond a single Monte Carlo batch.
+from the formula in the ``RngStream`` docstring. The samplers are
+recomputed as plain array formulas on row-major uniforms (``(w >> 11) *
+2**-53``, then each coordinate as one expression), which the in-place
+kernels must match byte for byte. Byte pins cannot tell a correct
+re-spelling of a sampler from a wrong one, so the distributions are
+checked as well, by Kolmogorov-Smirnov tests on coordinates the
+constructions do not set directly.
 """
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -191,29 +194,27 @@ class TestSamplerContract:
         assert np.all(np.linalg.norm(ball_samples(RngStream(5), 32769), axis=1) <= 1.0)
 
 
-def row_layout_samples(rng: RngStream, n: int, words: int, k: int) -> np.ndarray:
-    """The samplers as point rows: uniforms (n, words), Box-Muller pairs into (k, n), norms, then a scatter.
+def plain_circle(u: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """amp * (cos 2 pi u, sin 2 pi u), with the angle folded into [-pi/2, pi/2] as the samplers fold it."""
+    a = 0.5 - u
+    chi = (a - np.copysign(0.25, a)) * (2.0 * np.pi)
+    amp = np.copysign(amp, a)
+    return amp * np.sin(chi), amp * np.cos(chi)
 
-    ``words`` = 5 is the ball (the last uniform gives the radius u**(1/3));
-    otherwise the points are the normals divided by their norms.
-    """
-    u = rng.uniforms(words * n).reshape(n, words)
-    g = np.empty((k, n))
-    for j in range(0, k, 2):
-        r = np.sqrt(-2.0 * np.log1p(-u[:, j]))
-        t = u[:, j + 1] * (2.0 * np.pi)
-        g[j] = np.cos(t) * r
-        if j + 1 < k:
-            g[j + 1] = np.sin(t) * r
-    norms = g[0] * g[0]
-    for row in g[1:]:
-        norms += row * row
-    norms = np.sqrt(norms)
-    scale = np.cbrt(u[:, 4]) / norms if words == 5 else norms
-    out = np.empty((n, k))
-    for i in range(k):
-        out[:, i] = g[i] * scale if words == 5 else g[i] / scale
-    return out
+
+def plain_samples(rng: RngStream, n: int, kind: str) -> np.ndarray:
+    """The samplers as plain formulas on point rows: uniforms (n, w), then each coordinate, stacked (n, k)."""
+    w = 2 if kind == "sphere" else 3
+    u = rng.uniforms(w * n).reshape(n, w)
+    if kind == "sphere4":
+        cos1, sin1 = plain_circle(u[:, 1], np.sqrt(1.0 - u[:, 0]))
+        cos2, sin2 = plain_circle(u[:, 2], np.sqrt(u[:, 0]))
+        return np.stack([sin1, cos1, sin2, cos2], axis=1)
+    z = 2.0 * u[:, 0] - 1.0
+    rho = np.sqrt((1.0 - z) * (1.0 + z))
+    x, y = plain_circle(u[:, 1], rho)
+    points = np.stack([x, y, z], axis=1)
+    return points * np.cbrt(u[:, 2])[:, None] if kind == "ball" else points
 
 
 def row_layout_normals(rng: RngStream, n: int) -> np.ndarray:
@@ -229,16 +230,18 @@ def row_layout_normals(rng: RngStream, n: int) -> np.ndarray:
 
 
 class TestRowLayoutReference:
-    """The samplers draw each point's coordinates as contiguous rows; the bytes are the row-layout formulas'."""
+    """The samplers draw each point's coordinates as contiguous rows; the bytes are the plain formulas'."""
 
-    @pytest.mark.parametrize("sampler,words,k", [(ball_samples, 5, 3), (sphere_samples, 4, 3), (sphere4_samples, 4, 4)])
+    @pytest.mark.parametrize(
+        "sampler,kind", [(ball_samples, "ball"), (sphere_samples, "sphere"), (sphere4_samples, "sphere4")]
+    )
     @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 16383, 16384, 16385])
-    def test_sampler_bytes(self, sampler, words, k, n):
+    def test_sampler_bytes(self, sampler, kind, n):
         rng, ref = RngStream(600 + n), RngStream(600 + n)
         rng.uniforms(3)
         ref.uniforms(3)
         pts = sampler(rng, n)
-        assert pts.tobytes() == row_layout_samples(ref, n, words, k).tobytes()
+        assert pts.tobytes() == plain_samples(ref, n, kind).tobytes()
         assert rng.u64() == ref.u64()
 
     @pytest.mark.parametrize("n", [0, 1, 2, 8191, 8192, 16383, 16384, 16385, 32769])
@@ -249,27 +252,96 @@ class TestRowLayoutReference:
         assert rng.normals(n).tobytes() == row_layout_normals(ref, n).tobytes()
         assert rng.u64() == ref.u64()
 
+    def test_folded_circle_is_the_plain_angle(self):
+        # the fold changes rounding only: within a few ulps of cos and sin of 2 pi u
+        u = RngStream(651).uniforms(100_003)
+        x, y = plain_circle(u, np.ones_like(u))
+        assert np.max(np.abs(x - np.cos(2.0 * np.pi * u))) < 1e-15
+        assert np.max(np.abs(y - np.sin(2.0 * np.pi * u))) < 1e-15
+
 
 class TestColumnWords:
     """The sampler core's uniforms, drawn as rows (w, n) from a step row, are the stream's next w*n uniforms."""
 
-    @pytest.mark.parametrize("k,kind,w", [(2, "normals", 2), (4, "sphere", 4), (3, "ball", 5)])
+    @pytest.mark.parametrize("kind,w", [("normals", 2), ("sphere", 2), ("ball", 3), ("sphere4", 3)])
     @pytest.mark.parametrize("n", [1, 7, 4096, 16385])
-    def test_uniform_rows_are_the_stream_read_by_columns(self, k, kind, w, n):
+    def test_uniform_rows_are_the_stream_read_by_columns(self, kind, w, n):
         from quasinv.numerics import _uniform_rows, _workspace
 
         rng, ref = RngStream(2**64 - 1), RngStream(2**64 - 1)
         rng.uniforms(1234)
         ref.uniforms(1234)
-        step, buf, width = _workspace(n + 5, k, kind)  # a workspace for longer chunks than this one
-        assert width == w
+        step, buf, width = _workspace(n + 5, kind)  # a workspace for longer chunks than this one
+        assert width == w and buf.size == 6 * (n + 5)
         buf[:] = np.nan
-        u = _uniform_rows(rng, step[:n], buf, w)
+        block = buf[: 6 * n].reshape(6, n)
+        u = _uniform_rows(rng, step[:n], block, w)
         assert u.shape == (w, n) and u.flags.c_contiguous
+        assert u.ctypes.data == block[3].ctypes.data  # the uniforms start at row 3
         assert u.tobytes() == np.ascontiguousarray(ref.uniforms(w * n).reshape(n, w).T).tobytes()
         assert rng._counter == ref._counter == 1234 + w * n
         assert rng.u64() == ref.u64()
-        assert np.isnan(buf[2 * w * n :]).all()  # nothing written past the uniform rows
+        # only the word rows and the uniform rows were written
+        assert np.isnan(block[w:3]).all() and np.isnan(block[3 + w :]).all() and np.isnan(buf[6 * n :]).all()
+
+
+# Kolmogorov-Smirnov at alpha = 1e-6 on 2**18 points: P(sqrt(n) D > x) <= 2 exp(-2 x**2) gives
+# x = sqrt(ln(2 / alpha) / 2) = 2.6934, so D may not exceed 2.6934 / 512 = 0.00526.
+KS_POINTS = 2**18
+KS_CRITICAL = math.sqrt(math.log(2 / 1e-6) / 2) / math.sqrt(KS_POINTS)
+
+
+def ks_statistic(values: np.ndarray, cdf) -> float:
+    """sup |F_n - F| of a sample against a continuous CDF."""
+    f = cdf(np.sort(values))
+    n = f.size
+    return float(max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n)))
+
+
+def _diagonal(p: np.ndarray, i: int, j: int) -> np.ndarray:
+    return (p[:, i] + p[:, j]) / math.sqrt(2.0)
+
+
+def _beta_half_three_halves(s):
+    return (2.0 / np.pi) * (np.arcsin(np.sqrt(s)) + np.sqrt(s * (1.0 - s)))
+
+
+# (seed, sampler, statistic of the points, its CDF under the sampler's measure)
+KS_CASES = {
+    # sphere: every projection on a unit vector is uniform on [-1, 1] (Archimedes)
+    "sphere-projection": (801, sphere_samples, lambda p: _diagonal(p, 0, 2), lambda t: (t + 1.0) / 2.0),
+    # ball: a projection has density 3/4 (1 - t**2)
+    "ball-projection": (802, ball_samples, lambda p: _diagonal(p, 0, 2), lambda t: (2.0 + 3.0 * t - t**3) / 4.0),
+    # ball: |r|**3 is uniform on [0, 1]
+    "ball-radius": (803, ball_samples, lambda p: np.sum(p * p, axis=1) ** 1.5, lambda t: t),
+    # 3-sphere: the square of a projection is Beta(1/2, 3/2)
+    "sphere4-projection-02": (804, sphere4_samples, lambda p: _diagonal(p, 0, 2) ** 2, _beta_half_three_halves),
+    "sphere4-projection-13": (805, sphere4_samples, lambda p: _diagonal(p, 1, 3) ** 2, _beta_half_three_halves),
+}
+
+
+class TestDistributions:
+    """Each sampler's measure, checked on coordinates its construction does not set directly."""
+
+    @pytest.mark.parametrize("case", sorted(KS_CASES))
+    def test_kolmogorov_smirnov(self, case):
+        seed, sampler, statistic, cdf = KS_CASES[case]
+        points = sampler(RngStream(seed), KS_POINTS)
+        assert ks_statistic(statistic(points), cdf) < KS_CRITICAL
+
+    @pytest.mark.parametrize("case", sorted(KS_CASES))
+    def test_a_distorted_measure_fails(self, case):
+        # the points stretched by 1.2 along their last axis and put back at their radius, or moved
+        # to radius cbrt(r), which makes |r|**3 = cbrt(u) with CDF t**3: the test refuses either
+        _, sampler, statistic, cdf = KS_CASES[case]
+        points = sampler(RngStream(810), KS_POINTS)
+        radius = np.linalg.norm(points, axis=1)
+        if case == "ball-radius":
+            points *= (np.cbrt(radius) / radius)[:, None]
+        else:
+            points[:, -1] *= 1.2
+            points *= (radius / np.linalg.norm(points, axis=1))[:, None]
+        assert ks_statistic(statistic(points), cdf) > KS_CRITICAL
 
 
 def _digest(a: np.ndarray) -> str:
@@ -281,11 +353,11 @@ class TestSamplerGolden:
         "draw,digest",
         [
             (lambda: ball_samples(RngStream(11), 32769),
-             "84a15da6a3bb7e3df075dec37071ce1ec6a7f217094799495278c7c89dd03a1b"),
+             "835ae969aefde2a53b1d5569ac401e8f25327ea22b1a17c756adcd58b239bf49"),
             (lambda: sphere_samples(RngStream(12), 32769),
-             "1f58f4323be34b259e05c20003fbfc87038bd5611c5712b4cbd7c6fa876dec14"),
+             "63883453f74f4f8e59b8449875f04e3d5615c2ed0ad02353261ccaab5c347158"),
             (lambda: sphere4_samples(RngStream(13), 65537),
-             "68800b9f08285e5ea0fc979f9e9afc176f5b9819233a5d8f29fb0c4567e19607"),
+             "7126380914f781080add112f46e51708ee3de39709de4560005fc65119f14bc4"),
         ],
     )
     def test_sampler_bytes(self, draw, digest):
@@ -294,8 +366,8 @@ class TestSamplerGolden:
     @pytest.mark.parametrize(
         "region,digest",
         [
-            ("ball", "a707cf3923b6263f17f0aefbf114d518d8aeb0e798eb01f85fdaf44b8d39eed4"),
-            ("surface", "8efc2e47348333df6033dfef1a451f16cedd894242ac5afd07bebd9e22a27c9b"),
+            ("ball", "a18c032f78b627e6085d5caf55019b4ff6a39b4a1cf11dd277a163a37af3bfdd"),
+            ("surface", "d6b1cc20eb67e9492141672beac4cfb6c8bdf0f1e968c2e23ccdb5057b2f5512"),
         ],
     )
     @pytest.mark.parametrize("workers", [1, 2])
