@@ -166,7 +166,7 @@ class TestZooGolden:
 
 
 PAULI_DOCUMENT = json.dumps({"type": "pauli", "p": [0.1, 0.6, 0.2, 0.1]})
-# the optimum of this point is off the canonical axes, so the sampled best matters
+# the optimum of this point is off the canonical axes, so the sampled best and its refinement matter
 MIXED_UNITARY_DOCUMENT = json.dumps({"type": "mixed_unitary", "p": 0.3, "theta": 2.8})
 
 SAMPLED_SHA256 = [
@@ -177,7 +177,7 @@ SAMPLED_SHA256 = [
     (["verify", "-", "--samples", "100000", "--seed", "3"], PAULI_DOCUMENT,
      "c765a5ade749543766b1a2ab41f8e2139733075b2d4a4312d2f2f0b8a6aed1e4"),
     (["verify", "-", "--samples", "100000", "--seed", "3"], MIXED_UNITARY_DOCUMENT,
-     "c06077cd0295431331de4ed3fabd534a1ceb96b7fa3a86b3cd9ca1011d369aab"),
+     "3f0a9dbb6327a7324f90c25543fe09791e7941ccac2a8a9a29377f40dfb363a3"),
 ]
 
 SAMPLER_SHA256 = [

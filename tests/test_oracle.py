@@ -36,6 +36,15 @@ class TestBruteForceBest:
             _, best = brute_force_best(e, 20_000, RngStream(100 + i))
             assert best <= solver + 1e-10
 
+    def test_refinement_reaches_the_solver(self):
+        # at the least sample count the pattern search still climbs to the optimum
+        rng = RngStream(711)
+        for i in range(40):
+            e = kraus_to_affine(random_channel(rng, 1 + i % 4))
+            solver = quasi_inverse(e).delta_mstd
+            _, best = brute_force_best(e, 10_000, RngStream(40 + i))
+            assert solver - 1e-12 <= best <= solver + 1e-10
+
     def test_matches_scalar_delta(self):
         rng = RngStream(702)
         e = kraus_to_affine(random_channel(rng, 3))
@@ -144,7 +153,7 @@ def test_negated_axes_give_bitwise_the_same_deltas():
 
 
 def whole_batch_search(e, n, seed):
-    """brute_force_best written with one draw and one argmax per 65,536-row batch."""
+    """brute_force_best's sampled best, written with one draw and one argmax per 65,536-row batch."""
     from quasinv.metrics import mstd_analytic
     from quasinv.numerics import substream
     from quasinv.oracle import _CANONICAL, _delta_batch
@@ -166,11 +175,22 @@ def whole_batch_search(e, n, seed):
 class TestChunkedSearch:
     @pytest.mark.parametrize("n", [10_000, 65_536, 65_537, 200_001])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_equals_whole_batch_reference(self, n, workers):
+    def test_equals_whole_batch_reference(self, monkeypatch, n, workers):
+        # the sampled best the pattern search starts from is the reference's, and so is the result
+        from quasinv import oracle
+        from quasinv.metrics import mstd_analytic
+
+        polish = oracle._polish
+        starts = []
+        monkeypatch.setattr(oracle, "_polish", lambda e, x, d, base: starts.append((x, d)) or polish(e, x, d, base))
         for i in range(3):
             e = kraus_to_affine(random_channel(RngStream(707 + i), 1 + i))
             x, d = brute_force_best(e, n, RngStream(30 + i), workers=workers)
             ref_x, ref_d = whole_batch_search(e, n, 30 + i)
+            start_x, start_d = starts.pop()
+            assert start_x.tobytes() == ref_x.tobytes()
+            assert np.float64(start_d).tobytes() == np.float64(ref_d).tobytes()
+            ref_x, ref_d = polish(e, ref_x, ref_d, mstd_analytic(e).value)
             assert x.tobytes() == ref_x.tobytes()
             assert np.float64(d).tobytes() == np.float64(ref_d).tobytes()
 
