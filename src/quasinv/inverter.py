@@ -21,12 +21,11 @@ import numpy as np
 from .channels import (
     AffineChannel,
     UnitaryParams,
-    _rotation_entries,
     _unitary,
     unitary_to_affine,
     validate_cptp,
 )
-from .metrics import _closed_form, _region, mstd_analytic, mstd_composed
+from .metrics import _closed_form, _mstd_after_rotation, _region, mstd_analytic, mstd_composed
 from .numerics import _real_array, eig_sym4, eigh_desc
 
 TRIVIAL_TOL = 1e-12
@@ -134,10 +133,7 @@ def _solve(e: AffineChannel) -> tuple[QuasiInverseResult, QForm]:
     x = np.array([1.0, 0.0, 0.0, 0.0]) if trivial else v[:, 0]
     xs = x.tolist()  # unit length: e0, or an eigenvector LAPACK normalized
     before = _closed_form(e.m, e.c, 20.0)  # mstd_analytic(e).value
-    # mstd_composed(unitary_to_affine(V), e) bit for bit, V = x0 I + i x.sigma: the rotation's zero
-    # translation would only turn a -0.0 of R c, which is squared, into +0.0
-    rot = np.array(list(_rotation_entries(*xs))).reshape(3, 3)
-    after = _closed_form(rot @ e.m, rot @ e.c, 20.0)
+    after = _mstd_after_rotation(xs, e)
     result = QuasiInverseResult(
         x=x,
         unitary=_unitary(*xs),

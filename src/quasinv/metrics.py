@@ -18,14 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import AffineChannel, check_bloch
-from .numerics import MAX_BATCHES, RngStream, _rows, _workspace, map_batches
+from .channels import AffineChannel, _rotation_entries, check_bloch
+from .numerics import _CHUNK_POINTS, MAX_BATCHES, RngStream, _rows, _workspace, map_batches
 
 MC_MIN_SAMPLES = 1000
 _MC_BATCH = 32768
-# points of a batch drawn and evaluated at a time, in a worker's workspace of 7 words per point (0.92 MB):
-# a step row, then 6 rows that hold a chunk's 2 or 3 generator words per point with their mixer scratch, then P and Y
-_MC_CHUNK = 16384
 MC_MAX_SAMPLES = MAX_BATCHES * _MC_BATCH  # 2^31
 
 METHOD_ANALYTIC_BALL = "analytic-ball"
@@ -83,6 +80,13 @@ def mstd_composed(ei: AffineChannel, e: AffineChannel) -> MstdReport:
     return MstdReport(value=value, method=METHOD_ANALYTIC_BALL)
 
 
+def _mstd_after_rotation(x: list, e: AffineChannel) -> float:
+    """mstd_composed(unitary_to_affine(V), e).value bit for bit, V = x0 I + i x.sigma for floats x."""
+    # the rotation's zero translation would only turn a -0.0 of R c, which is squared, into +0.0
+    rot = np.array(list(_rotation_entries(*x))).reshape(3, 3)
+    return _closed_form(rot @ e.m, rot @ e.c, 20.0)
+
+
 def _closed_form(m: np.ndarray, c: np.ndarray, denominator: float) -> float:
     """(Tr(M M^T) - 2 Tr M + 3) / denominator + |c|^2 / 4, clipped at 0."""
     # Python floats in numpy's order for a C-ordered m (an AffineChannel's copy or a matmul product): np.sum
@@ -109,8 +113,8 @@ def mstd_monte_carlo(
     Samples are drawn in fixed-size batches from substreams derived from
     one draw of ``rng``, so the result depends only on (seed, n, region)
     and is identical for any worker count. Each batch is drawn and
-    evaluated ``_MC_CHUNK`` points at a time, as ``brute_force_best``
-    draws ``_CHUNK`` rows at a time. A chunk's points are the contiguous
+    evaluated ``numerics._CHUNK_POINTS`` points at a time, as in
+    ``brute_force_best``. A chunk's points are the contiguous
     rows of P (3, k); with Y = P - (M P + c), its squared distances are
     ``0.25 * ((y0*y0 + y2*y2) + y1*y1)``, summed in that order. Each worker
     thread reuses one workspace (a step row and 6 rows: 0.92 MB) for all of
@@ -129,13 +133,13 @@ def mstd_monte_carlo(
         try:
             ws = spare.pop()
         except IndexError:
-            ws = _workspace(_MC_CHUNK, kind)
+            ws = _workspace(_CHUNK_POINTS, kind)
         buf = ws[1]
         # the stream yields the same words chunk by chunk as in one draw; summing
         # per chunk would change numpy's pairwise order, so the sums wait for d2
         d2 = np.empty(size)
-        for start in range(0, size, _MC_CHUNK):
-            out = d2[start : start + _MC_CHUNK]
+        for start in range(0, size, _CHUNK_POINTS):
+            out = d2[start : start + _CHUNK_POINTS]
             k = len(out)
             p = _rows(stream, k, kind, ws)
             y = np.matmul(m, p, out=buf[: 3 * k].reshape(3, k))

@@ -44,6 +44,8 @@ SIGN_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 # Most batches map_batches cuts one computation into.
 MAX_BATCHES = 1 << 16
+# Points the estimators draw and evaluate at a time, in a ``_workspace`` of 7 words per point (0.92 MB).
+_CHUNK_POINTS = 16384
 # Generator words per point of each kind of ``_rows``.
 _WORDS = {"normals": 2, "sphere": 2, "ball": 3, "sphere4": 3}
 
@@ -377,10 +379,15 @@ def eig_sym4(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eig_herm4(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues (descending) of a Hermitian 4x4 matrix."""
-    h = np.asarray(h, dtype=complex)
+    """Eigenvalues (descending) of a Hermitian 4x4 matrix; TypeError for bool or text, ValueError if not finite."""
+    h = np.asarray(h)
+    if h.dtype.kind in "bUS":
+        raise TypeError(f"matrix must be numeric, got dtype {h.dtype}")
+    h = h.astype(complex, copy=False)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("matrix has non-finite entries")
     dev = float(np.abs(h - h.conj().T).max())
     if not (dev <= HERMITIAN_TOL):
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")

@@ -1,12 +1,13 @@
 """Brute-force verification of the quasi-inverse solver.
 
-Searches the unit 3-sphere of unitary parameters at random, refines the
-best sample by a pattern search on the sphere, and evaluates the MSTD
-decrease through the composition route only (affine conjugation,
-compose, closed-form average). The Bloch rotation formula is the one
-``channels.unitary_to_affine`` uses; nothing here touches the
-quadratic-form construction or the eigensolver, so agreement is
-meaningful evidence.
+Searches the unit 3-sphere of unitary parameters at random, ranks the
+samples by Wahba's objective Tr(R(x) M) (a rotation keeps |M|_F and |c|,
+so its MSTD decrease is (Tr(R M) - Tr M) / 10), refines the best one by
+a pattern search on the sphere, and evaluates the decrease through the
+composition route only (affine conjugation, compose, closed-form
+average). The Bloch rotation formula is ``channels.unitary_to_affine``'s;
+nothing here touches the quadratic-form construction or the eigensolver,
+so agreement is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -18,15 +19,12 @@ import numpy as np
 
 from .channels import AffineChannel, _rotation_entries
 from .inverter import QuasiInverseResult
-from .metrics import mstd_analytic
-from .numerics import MAX_BATCHES, RngStream, _rows, _workspace, map_batches
+from .metrics import _mstd_after_rotation, mstd_analytic
+from .numerics import _CHUNK_POINTS, MAX_BATCHES, RngStream, _rows, _workspace, map_batches
 
 BRUTE_FORCE_MIN_SAMPLES = 10_000
 _BATCH = 65536
 BRUTE_FORCE_MAX_SAMPLES = MAX_BATCHES * _BATCH  # 2^32
-# rows of a batch drawn and evaluated at a time, so a batch's (n, 3, 3)
-# stacks stay under 1 MB
-_CHUNK = 4096
 
 VIOLATION_TOL = 1e-9
 _NEARNESS_REL = 0.01
@@ -38,7 +36,7 @@ _POLISH_FIRST_STEP = 2.0**-3
 _POLISH_LAST_STEP = 2.0**-20
 _POLISH_MAX_ROUNDS = 200
 
-# (x0, x) = e_i, the identity and the Pauli axes; -e_i would give bitwise the same rotation and delta
+# (x0, x) = e_i, the identity and the Pauli axes; -e_i would give bitwise the same rotation and trace
 _CANONICAL = np.eye(4)
 
 
@@ -54,25 +52,19 @@ class VerificationReport:
     passed: bool
 
 
-def _rotation_batch(xs: np.ndarray) -> np.ndarray:
-    """Bloch rotation matrices of V = x0 I + i x.sigma for rows (x0, x)."""
-    m = np.empty((xs.shape[0], 3, 3))
-    flat = m.reshape(xs.shape[0], 9)
-    for k, entry in enumerate(_rotation_entries(*xs.T)):
-        flat[:, k] = entry
-    return m
+def _traces(xs: np.ndarray, mt: list) -> np.ndarray:
+    """Tr(R(x) M) for the rows (x0, x1, x2, x3) of xs, given the entries of M^T in row-major order.
 
-
-def _delta_batch(e: AffineChannel, xs: np.ndarray, base_value: float) -> np.ndarray:
-    """MSTD decrease for each candidate row of xs, by direct composition."""
-    mi = _rotation_batch(xs)
-    n = mi @ e.m
-    u = mi @ e.c
-    composed = (
-        (np.einsum("kij,kij->k", n, n) - 2.0 * np.einsum("kii->k", n) + 3.0) / 20.0
-        + 0.25 * np.einsum("ki,ki->k", u, u)
-    )
-    return base_value - composed
+    Sums the nine ``_rotation_entries`` rows times those entries in order, by IEEE basic
+    operations alone, so each point's trace depends on that point alone.
+    """
+    entries = _rotation_entries(*xs)
+    total = next(entries)
+    total *= mt[0]
+    for entry, w in zip(entries, mt[1:]):
+        entry *= w
+        total += entry
+    return total
 
 
 def _tangents(x: np.ndarray) -> np.ndarray:
@@ -98,10 +90,10 @@ def _polish(e: AffineChannel, x: np.ndarray, delta: float, base_value: float) ->
         t = _tangents(x)
         cand = np.cos(step) * x + np.sin(step) * np.concatenate([t, -t])
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        d = _delta_batch(e, cand, base_value)
-        j = int(np.argmax(d))
+        d = [base_value - _mstd_after_rotation(c, e) for c in cand.tolist()]
+        j = max(range(6), key=d.__getitem__)
         if d[j] > delta:
-            x, delta = cand[j], float(d[j])
+            x, delta = cand[j], d[j]
         else:
             step *= 0.5
     return x, delta
@@ -114,41 +106,39 @@ def brute_force_best(
 
     Samples come from substreams derived from one draw of ``rng`` in fixed
     batches, so the result is independent of the worker count. Each batch
-    is drawn and evaluated in chunks of ``_CHUNK`` points, held as the
-    contiguous rows (x0, x1, x2, x3) of one workspace per batch; the first
-    maximum wins, as in one argmax over all samples. A pattern search
-    (``_polish``) then climbs from that best point, so the result does
-    not hang on a sample landing in a narrow peak.
+    is drawn in ``numerics._CHUNK_POINTS``-point chunks, held as the rows
+    (x0, x1, x2, x3) of one workspace per batch. The axes and samples are
+    ranked by ``_traces``, the first maximum winning as in one argmax over
+    all; only it is evaluated by composition. A pattern search (``_polish``)
+    then climbs from it, so the result does not hang on a narrow peak.
     """
     n = operator.index(n)
     if not BRUTE_FORCE_MIN_SAMPLES <= n <= BRUTE_FORCE_MAX_SAMPLES:
         raise ValueError(f"need {BRUTE_FORCE_MIN_SAMPLES}..{BRUTE_FORCE_MAX_SAMPLES} samples, got {n}")
-    base_value = mstd_analytic(e).value
-
-    deltas = _delta_batch(e, _CANONICAL, base_value)
-    k_best = int(np.argmax(deltas))
+    mt = e.m.T.ravel().tolist()
+    traces = _traces(_CANONICAL.T, mt)
+    k_best = int(np.argmax(traces))
     best_x = _CANONICAL[k_best].copy()
-    best_delta = float(deltas[k_best])
+    best_trace = float(traces[k_best])
 
     def run_batch(stream: RngStream, size: int) -> list[tuple[float, np.ndarray]]:
-        # the stream yields the same words chunk by chunk as in one draw, and
-        # each row's delta depends on that row alone
+        # the stream yields the same words chunk by chunk as in one draw
         bests = []
-        ws = _workspace(_CHUNK, "sphere4")
-        for start in range(0, size, _CHUNK):
-            k = min(_CHUNK, size - start)
-            g = _rows(stream, k, "sphere4", ws)
-            d = _delta_batch(e, g.T, base_value)
-            j = int(np.argmax(d))
-            bests.append((float(d[j]), g[:, j].copy()))  # the buffer is rewritten by the next chunk
+        ws = _workspace(_CHUNK_POINTS, "sphere4")
+        for start in range(0, size, _CHUNK_POINTS):
+            g = _rows(stream, min(_CHUNK_POINTS, size - start), "sphere4", ws)
+            t = _traces(g, mt)
+            j = int(np.argmax(t))
+            bests.append((float(t[j]), g[:, j].copy()))  # the buffer is rewritten by the next chunk
         return bests
 
     for bests in map_batches(rng, n, _BATCH, run_batch, workers):
-        for d, x in bests:
-            if d > best_delta:
-                best_delta = d
+        for t, x in bests:
+            if t > best_trace:
+                best_trace = t
                 best_x = x
-    return _polish(e, best_x, best_delta, base_value)
+    base_value = mstd_analytic(e).value
+    return _polish(e, best_x, base_value - _mstd_after_rotation(best_x.tolist(), e), base_value)
 
 
 def verify(

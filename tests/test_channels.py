@@ -487,8 +487,8 @@ class TestBoundsRejectNan:
         with pytest.raises(ValueError, match="unit length"):
             UnitaryParams(np.nan, [0.0, 0.0, 0.0])
 
-    def test_nan_matrix_is_not_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
+    def test_nan_matrix_is_refused_as_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
             eig_herm4(np.full((4, 4), np.nan))
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,26 @@ class TestEigHerm4:
         h[0, 1] = 1e-6
         with pytest.raises(ValueError):
             eig_herm4(h)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_rejects_non_finite_entries_before_the_hermitian_check(self, bad):
+        # a diagonal inf gave inf - inf = nan, a RuntimeWarning and "not Hermitian (max deviation nan)"
+        h = np.eye(4, dtype=complex)
+        h[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                eig_herm4(h)
+
+    @pytest.mark.parametrize("h", [np.eye(4, dtype=bool), np.full((4, 4), "1"), np.full((4, 4), b"1")])
+    def test_rejects_bool_and_text(self, h):
+        # a boolean identity gave eigenvalues [1, 1, 1, 1]
+        with pytest.raises(TypeError, match="must be numeric"):
+            eig_herm4(h)
+
+    def test_accepts_integer_and_real_input(self):
+        assert eig_herm4(np.eye(4, dtype=int)).tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert eig_herm4(np.diag([3.0, 2.0, 1.0, 0.0])).tolist() == [3.0, 2.0, 1.0, 0.0]
 
 
 class TestRngStream:

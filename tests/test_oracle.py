@@ -46,11 +46,13 @@ class TestBruteForceBest:
             assert solver - 1e-12 <= best <= solver + 1e-10
 
     def test_matches_scalar_delta(self):
+        # the search evaluates its points by delta_mstd_direct's composition route, bit for bit
         rng = RngStream(702)
-        e = kraus_to_affine(random_channel(rng, 3))
-        x, best = brute_force_best(e, 10_000, RngStream(3))
-        scalar = delta_mstd_direct(e, UnitaryParams.from_vector(x))
-        assert best == pytest.approx(scalar, abs=1e-12)
+        for i in range(30):
+            e = kraus_to_affine(random_channel(rng, 1 + i % 4))
+            x, best = brute_force_best(e, 10_000, RngStream(3 + i))
+            scalar = delta_mstd_direct(e, UnitaryParams.from_vector(x))
+            assert best.hex() == scalar.hex()
 
     def test_worker_count_invariance(self):
         e = kraus_to_affine(random_channel(RngStream(703), 4))
@@ -114,62 +116,109 @@ class TestVerify:
             assert report.passed, f"channel {i}: {report}"
 
 
-def test_sampled_values_match_direct_route():
-    # the vectorized search evaluates the same quantity as delta_mstd_direct
-    from quasinv.metrics import mstd_analytic
-    from quasinv.oracle import _delta_batch
+def rotation_stack(xs):
+    """The (n, 3, 3) Bloch rotations of the rows of xs (n, 4), stacked from _rotation_entries."""
+    from quasinv.channels import _rotation_entries
 
+    return np.stack(list(_rotation_entries(*xs.T)), axis=1).reshape(-1, 3, 3)
+
+
+def stack_deltas(e, xs, base_value):
+    """The MSTD decrease for each row of xs through (n, 3, 3) rotation stacks and einsums: the reference route."""
+    mi = rotation_stack(xs)
+    n = mi @ e.m
+    u = mi @ e.c
+    composed = (
+        (np.einsum("kij,kij->k", n, n) - 2.0 * np.einsum("kii->k", n) + 3.0) / 20.0
+        + 0.25 * np.einsum("ki,ki->k", u, u)
+    )
+    return base_value - composed
+
+
+def traces(e, xs):
+    """oracle._traces of the rows of xs (n, 4)."""
+    from quasinv.oracle import _traces
+
+    return _traces(xs.T, e.m.T.ravel().tolist())
+
+
+def test_sampled_values_match_direct_route():
+    # a rotation keeps |M|_F and |c|, so the decrease is (Tr(R M) - Tr M) / 10
     rng = RngStream(706)
     e = kraus_to_affine(random_channel(rng, 3))
     xs = sphere4_samples(rng, 200)
-    batch = _delta_batch(e, xs, mstd_analytic(e).value)
-    for x, d in zip(xs, batch):
-        assert d == pytest.approx(delta_mstd_direct(e, UnitaryParams.from_vector(x)), abs=1e-14)
+    for x, t in zip(xs, traces(e, xs)):
+        direct = delta_mstd_direct(e, UnitaryParams.from_vector(x))
+        assert (t - np.trace(e.m)) / 10.0 == pytest.approx(direct, abs=1e-14)
 
 
 def test_batched_rotations_equal_unitary_to_affine():
-    # one formula serves both routes: the batch must match the scalar route bit for bit
-    from quasinv.oracle import _CANONICAL, _rotation_batch
+    # one formula serves both routes: rows stacked from _rotation_entries match the scalar route bit for bit
+    from quasinv.oracle import _CANONICAL
 
     xs = np.concatenate([_CANONICAL, sphere4_samples(RngStream(65537), 65_537)])
-    batch = _rotation_batch(xs)
+    batch = rotation_stack(xs)
     scalar = np.stack([unitary_to_affine(UnitaryParams.from_vector(x)).m for x in xs])
     assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
 
 
 def test_negated_axes_give_bitwise_the_same_deltas():
-    # why the canonical candidates are the rows of eye(4) alone: -e_i would repeat e_i exactly
-    from quasinv.metrics import mstd_analytic
-    from quasinv.oracle import _CANONICAL, _delta_batch
+    # why the canonical candidates are the rows of eye(4) alone: -e_i would repeat e_i's trace exactly
+    from quasinv.oracle import _CANONICAL
 
     assert np.array_equal(_CANONICAL, np.eye(4))
     rng = RngStream(706)
     for i in range(50):
         e = kraus_to_affine(random_channel(rng, 1 + i % 4))
-        base_value = mstd_analytic(e).value
-        plus = _delta_batch(e, np.eye(4), base_value)
-        minus = _delta_batch(e, -np.eye(4), base_value)
+        plus = traces(e, np.eye(4))
+        minus = traces(e, -np.eye(4))
         assert np.array_equal(plus.view(np.int64), minus.view(np.int64))
 
 
-def whole_batch_search(e, n, seed):
-    """brute_force_best's sampled best, written with one draw and one argmax per 65,536-row batch."""
+def record_starts(monkeypatch):
+    """The (x, delta) each later brute_force_best call hands its pattern search, in call order."""
+    from quasinv import oracle
+
+    polish = oracle._polish
+    starts = []
+    monkeypatch.setattr(oracle, "_polish", lambda e, x, d, base: starts.append((x, d)) or polish(e, x, d, base))
+    return starts
+
+
+def test_trace_ranking_finds_the_best_sample(monkeypatch):
+    # ranking by the trace loses nothing against evaluating every sample through the stack route
     from quasinv.metrics import mstd_analytic
     from quasinv.numerics import substream
-    from quasinv.oracle import _CANONICAL, _delta_batch
+    from quasinv.oracle import _CANONICAL
 
-    base_value = mstd_analytic(e).value
-    deltas = _delta_batch(e, _CANONICAL, base_value)
-    k = int(np.argmax(deltas))
-    best_x, best_delta = _CANONICAL[k], float(deltas[k])
+    starts = record_starts(monkeypatch)
+    rng = RngStream(712)
+    for i in range(20):
+        e = kraus_to_affine(random_channel(rng, 1 + i % 4))
+        brute_force_best(e, 65_536, RngStream(50 + i))
+        xs = np.concatenate([_CANONICAL, sphere4_samples(substream(RngStream(50 + i).u64(), 0), 65_536)])
+        reference = float(stack_deltas(e, xs, mstd_analytic(e).value).max())
+        _, start_d = starts.pop()
+        assert abs(start_d - reference) <= 1e-15
+
+
+def whole_batch_search(e, n, seed):
+    """brute_force_best's sampled best, written with one draw and one trace argmax per 65,536-row batch."""
+    from quasinv.metrics import _mstd_after_rotation, mstd_analytic
+    from quasinv.numerics import substream
+    from quasinv.oracle import _CANONICAL
+
+    t = traces(e, _CANONICAL)
+    k = int(np.argmax(t))
+    best_x, best_t = _CANONICAL[k], float(t[k])
     base = RngStream(seed).u64()
     for k, start in enumerate(range(0, n, 65_536)):
         xs = sphere4_samples(substream(base, k), min(65_536, n - start))
-        d = _delta_batch(e, xs, base_value)
-        j = int(np.argmax(d))
-        if d[j] > best_delta:
-            best_x, best_delta = xs[j], float(d[j])
-    return best_x, best_delta
+        t = traces(e, xs)
+        j = int(np.argmax(t))
+        if t[j] > best_t:
+            best_x, best_t = xs[j], float(t[j])
+    return best_x, mstd_analytic(e).value - _mstd_after_rotation(best_x.tolist(), e)
 
 
 class TestChunkedSearch:
@@ -181,8 +230,7 @@ class TestChunkedSearch:
         from quasinv.metrics import mstd_analytic
 
         polish = oracle._polish
-        starts = []
-        monkeypatch.setattr(oracle, "_polish", lambda e, x, d, base: starts.append((x, d)) or polish(e, x, d, base))
+        starts = record_starts(monkeypatch)
         for i in range(3):
             e = kraus_to_affine(random_channel(RngStream(707 + i), 1 + i))
             x, d = brute_force_best(e, n, RngStream(30 + i), workers=workers)
@@ -199,7 +247,9 @@ class TestChunkedSearch:
         import tracemalloc
 
         e = kraus_to_affine(random_channel(RngStream(710), 3))
-        brute_force_best(e, 10_000, RngStream(0))  # first-call allocations are not the batch's
+        # first-call allocations are not the batches': a warm-up with the case's own sample and worker
+        # counts also starts the case's thread pool once, with its first import of concurrent.futures
+        brute_force_best(e, n, RngStream(0), workers=workers)
         tracemalloc.start()
         try:
             brute_force_best(e, n, RngStream(11), workers=workers)
