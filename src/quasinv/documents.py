@@ -8,6 +8,7 @@ with 17 significant digits so documents round-trip exactly.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
@@ -205,7 +206,7 @@ def parse_channel_document(obj) -> ParsedChannel:
         raise DocumentError("channel document must be a JSON object")
     doc_type = _require(obj, "type")
     if doc_type not in CHANNEL_TYPES:
-        raise DocumentError(f"unknown channel type {doc_type!r}, expected one of {CHANNEL_TYPES}")
+        raise DocumentError(f"unknown channel type {reprlib.repr(doc_type)}, expected one of {CHANNEL_TYPES}")
     label = obj.get("label", "")
     if not isinstance(label, str):
         raise DocumentError("label must be a string")
@@ -214,7 +215,7 @@ def parse_channel_document(obj) -> ParsedChannel:
     read = _FIELDS_READ[doc_type]
     for key, value in obj.items():
         if key not in read and not _finite(value):
-            raise DocumentError(f"field {key!r} holds a non-finite number")
+            raise DocumentError(f"field {reprlib.repr(key)} holds a non-finite number")
 
     try:
         if doc_type == "kraus":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AffineChannel, _rotation_entries, check_bloch
-from .numerics import _CHUNK_POINTS, MAX_BATCHES, RngStream, _rows, _workspace, map_batches
+from .numerics import MAX_BATCHES, RngStream, _pooled, _rows, map_batches
 
 MC_MIN_SAMPLES = 1000
 _MC_BATCH = 32768
@@ -112,51 +112,36 @@ def mstd_monte_carlo(
 
     Samples are drawn in fixed-size batches from substreams derived from
     one draw of ``rng``, so the result depends only on (seed, n, region)
-    and is identical for any worker count. Each batch is drawn and
-    evaluated ``numerics._CHUNK_POINTS`` points at a time, as in
-    ``brute_force_best``. A chunk's points are the contiguous
-    rows of P (3, k); with Y = P - (M P + c), its squared distances are
-    ``0.25 * ((y0*y0 + y2*y2) + y1*y1)``, summed in that order. Each worker
-    thread reuses one workspace (a step row and 6 rows: 0.92 MB) for all of
-    its batches; P lands on rows 3 .. 5, Y on the spent rows 0 .. 2.
-    The chunks fill one batch-sized array of squared distances, and the two
-    sums run over that whole array, so the bytes are those of one draw per batch.
+    and is identical for any worker count. Each batch is drawn whole, its
+    points the contiguous rows of P (3, k), into a workspace for the
+    largest batch (a step row and 6 rows: 1.84 MB for a full one) that each
+    worker thread keeps for all of its batches. P lands on rows 3 .. 5 and
+    Y = P - (M P + c) on the spent rows 0 .. 2. The squared distances
+    ``0.25 * ((y0*y0 + y2*y2) + y1*y1)``, in that order, build up in place
+    on row y0 and their squares go to row y1; both sums run over the whole
+    batch.
     """
     n = operator.index(n)
     if not MC_MIN_SAMPLES <= n <= MC_MAX_SAMPLES:
         raise ValueError(f"need {MC_MIN_SAMPLES}..{MC_MAX_SAMPLES} samples, got {n}")
     _, kind, method = _region(region)
     m, c = e.m, e.c[:, None]
-    spare = []  # workspaces of finished batches; list.pop and list.append are atomic
 
-    def run_batch(stream: RngStream, size: int) -> tuple[float, float]:
-        try:
-            ws = spare.pop()
-        except IndexError:
-            ws = _workspace(_CHUNK_POINTS, kind)
-        buf = ws[1]
-        # the stream yields the same words chunk by chunk as in one draw; summing
-        # per chunk would change numpy's pairwise order, so the sums wait for d2
-        d2 = np.empty(size)
-        for start in range(0, size, _CHUNK_POINTS):
-            out = d2[start : start + _CHUNK_POINTS]
-            k = len(out)
-            p = _rows(stream, k, kind, ws)
-            y = np.matmul(m, p, out=buf[: 3 * k].reshape(3, k))
-            y += c
-            np.subtract(p, y, out=y)
-            y *= y
-            y0, y1, y2 = y
-            y0 += y2  # the order einsum("ij,ij->i") took on (k, 3) rows, spelled out
-            y0 += y1
-            np.multiply(0.25, y0, out=out)
-        sums = float(d2.sum()), float(np.multiply(d2, d2, out=buf[:size]).sum())
-        spare.append(ws)
-        return sums
+    def run_batch(stream: RngStream, size: int, ws) -> tuple[float, float]:
+        p = _rows(stream, size, kind, ws)
+        y = np.matmul(m, p, out=ws[1][: 3 * size].reshape(3, size))
+        y += c
+        np.subtract(p, y, out=y)
+        y *= y
+        y0, y1, y2 = y
+        y0 += y2  # the order einsum("ij,ij->i") took on (k, 3) rows, spelled out
+        y0 += y1
+        y0 *= 0.25
+        return float(y0.sum()), float(np.multiply(y0, y0, out=y1).sum())
 
     total = 0.0
     total_sq = 0.0
-    for s1, s2 in map_batches(rng, n, _MC_BATCH, run_batch, workers):
+    for s1, s2 in map_batches(rng, n, _MC_BATCH, _pooled(run_batch, min(n, _MC_BATCH), kind), workers):
         total += s1
         total_sq += s2
     mean = total / n

@@ -44,7 +44,7 @@ SIGN_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 # Most batches map_batches cuts one computation into.
 MAX_BATCHES = 1 << 16
-# Points the estimators draw and evaluate at a time, in a ``_workspace`` of 7 words per point (0.92 MB).
+# Points brute_force_best draws and ranks at a time, in a ``_workspace`` of 7 words per point (0.92 MB).
 _CHUNK_POINTS = 16384
 # Generator words per point of each kind of ``_rows``.
 _WORDS = {"normals": 2, "sphere": 2, "ball": 3, "sphere4": 3}
@@ -160,6 +160,27 @@ def _workspace(n: int, kind: str) -> tuple[np.ndarray, np.ndarray, int]:
     step = np.arange(n, dtype=np.uint64)
     step *= np.uint64(w * _GAMMA & _MASK64)
     return step, np.empty(6 * n), w
+
+
+def _pooled(fn, n: int, kind: str):
+    """``fn(stream, size, ws)`` as a ``map_batches`` function that lends each batch a ``_workspace(n, kind)``.
+
+    A finished batch hands its workspace on to the next batch of the same
+    call, so each worker thread makes one and keeps it; list.pop and
+    list.append are atomic, and a batch running holds its workspace alone.
+    """
+    spare = []
+
+    def run(stream: RngStream, size: int):
+        try:
+            ws = spare.pop()
+        except IndexError:
+            ws = _workspace(n, kind)
+        result = fn(stream, size, ws)
+        spare.append(ws)
+        return result
+
+    return run
 
 
 def _uniform_rows(rng: RngStream, step: np.ndarray, b: np.ndarray, w: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .channels import AffineChannel, _rotation_entries
 from .inverter import QuasiInverseResult
 from .metrics import _mstd_after_rotation, mstd_analytic
-from .numerics import _CHUNK_POINTS, MAX_BATCHES, RngStream, _rows, _workspace, map_batches
+from .numerics import _CHUNK_POINTS, MAX_BATCHES, RngStream, _pooled, _rows, map_batches
 
 BRUTE_FORCE_MIN_SAMPLES = 10_000
 _BATCH = 65536
@@ -107,9 +107,10 @@ def brute_force_best(
     Samples come from substreams derived from one draw of ``rng`` in fixed
     batches, so the result is independent of the worker count. Each batch
     is drawn in ``numerics._CHUNK_POINTS``-point chunks, held as the rows
-    (x0, x1, x2, x3) of one workspace per batch. The axes and samples are
-    ranked by ``_traces``, the first maximum winning as in one argmax over
-    all; only it is evaluated by composition. A pattern search (``_polish``)
+    (x0, x1, x2, x3) of a 0.92 MB workspace that each worker thread keeps
+    for all of its batches. The axes and samples are ranked by
+    ``_traces``, the first maximum winning as in one argmax over all; only
+    it is evaluated by composition. A pattern search (``_polish``)
     then climbs from it, so the result does not hang on a narrow peak.
     """
     n = operator.index(n)
@@ -121,10 +122,9 @@ def brute_force_best(
     best_x = _CANONICAL[k_best].copy()
     best_trace = float(traces[k_best])
 
-    def run_batch(stream: RngStream, size: int) -> list[tuple[float, np.ndarray]]:
+    def run_batch(stream: RngStream, size: int, ws) -> list[tuple[float, np.ndarray]]:
         # the stream yields the same words chunk by chunk as in one draw
         bests = []
-        ws = _workspace(_CHUNK_POINTS, "sphere4")
         for start in range(0, size, _CHUNK_POINTS):
             g = _rows(stream, min(_CHUNK_POINTS, size - start), "sphere4", ws)
             t = _traces(g, mt)
@@ -132,7 +132,7 @@ def brute_force_best(
             bests.append((float(t[j]), g[:, j].copy()))  # the buffer is rewritten by the next chunk
         return bests
 
-    for bests in map_batches(rng, n, _BATCH, run_batch, workers):
+    for bests in map_batches(rng, n, _BATCH, _pooled(run_batch, _CHUNK_POINTS, "sphere4"), workers):
         for t, x in bests:
             if t > best_trace:
                 best_trace = t

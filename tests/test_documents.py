@@ -72,6 +72,21 @@ class TestParsing:
         with pytest.raises(DocumentError, match="label"):
             parse_channel_document({"type": "pauli", "p": [1, 0, 0, 0], "label": 7})
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"type": "x" * 200_000}, "unknown channel type 'xxxxxxxxxxxx...xxxxxxxxxxxxx', expected one of "),
+        ({"type": list(range(50_000))}, "unknown channel type [0, 1, 2, 3, 4, 5, ...], expected one of "),
+        ({"type": "pauli", "p": [1, 0, 0, 0], "x" * 100_000: 1e999},
+         "field 'xxxxxxxxxxxx...xxxxxxxxxxxxx' holds a non-finite number"),
+        ({"type": "nope"}, "unknown channel type 'nope', expected one of "),
+        ({"type": "pauli", "p": [1, 0, 0, 0], "note": [1e999]}, "field 'note' holds a non-finite number"),
+    ])
+    def test_echoed_input_is_bounded(self, doc, message):
+        # a long type or field name is shortened as reprlib shortens it; a short one is echoed whole
+        with pytest.raises(DocumentError) as info:
+            parse_channel_document(doc)
+        assert str(info.value).startswith(message)
+        assert len(str(info.value)) < 200
+
     def test_tuples_parse_as_lists(self):
         # the Python API may pass tuples where JSON has arrays
         m = ((0.5, 0, 0), (0, 0.5, 0), (0, 0, 0.5))

@@ -204,7 +204,11 @@ def whole_batch_monte_carlo(e, n, seed, region):
 
 
 class TestChunkedMonteCarlo:
-    @pytest.mark.parametrize("n", [1000, 8191, 8193, 16_383, 16_385, 32_768, 32_769, 49_153, 100_001])
+    # n = 32,768 k + r for r = 1, 1,000 and 32,767: a short last batch on the front of a workspace
+    # that full batches have used
+    @pytest.mark.parametrize("n", [
+        1000, 8191, 8193, 16_383, 16_385, 32_768, 32_769, 33_768, 49_153, 65_535, 65_537, 66_536, 98_303, 100_001,
+    ])
     @pytest.mark.parametrize("region", ["ball", "surface"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_equals_whole_batch_reference(self, n, region, workers):
@@ -240,6 +244,23 @@ class TestChunkedMonteCarlo:
         report = mstd_monte_carlo(e, 2**20, RngStream(44), region=region, workers=workers)
         value, stderr = whole_batch_monte_carlo(e, 2**20, 44, region)
         assert (report.value, report.stderr) == (value, stderr)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_workspace_per_worker(self, monkeypatch, workers):
+        from quasinv import numerics
+
+        e = kraus_to_affine(random_channel(RngStream(732), 3))
+        made = []
+        workspace = numerics._workspace
+
+        def counted(n, kind):
+            made.append((n, kind))
+            return workspace(n, kind)
+
+        monkeypatch.setattr(numerics, "_workspace", counted)
+        mstd_monte_carlo(e, 8 * 32_768, RngStream(48), region="surface", workers=workers)
+        assert 1 <= len(made) <= workers
+        assert set(made) == {(32_768, "sphere")}
 
     def test_calls_in_a_row_leave_nothing_behind(self):
         # each call's workspaces serve its own batches only: a call after others of

@@ -242,6 +242,23 @@ class TestChunkedSearch:
             assert x.tobytes() == ref_x.tobytes()
             assert np.float64(d).tobytes() == np.float64(ref_d).tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_workspace_per_worker(self, monkeypatch, workers):
+        from quasinv import numerics
+
+        e = kraus_to_affine(random_channel(RngStream(711), 2))
+        made = []
+        workspace = numerics._workspace
+
+        def counted(n, kind):
+            made.append((n, kind))
+            return workspace(n, kind)
+
+        monkeypatch.setattr(numerics, "_workspace", counted)
+        brute_force_best(e, 8 * 65_536, RngStream(12), workers=workers)
+        assert 1 <= len(made) <= workers
+        assert set(made) == {(16_384, "sphere4")}
+
     @pytest.mark.parametrize("n,workers,limit_mb", [(65_536, 1, 2.0), (4 * 65_536, 2, 4.0)])
     def test_traced_peak(self, n, workers, limit_mb):
         import tracemalloc
