@@ -5,9 +5,10 @@ eigenvector sign convention and a stable descending order, so solver
 outputs are reproducible to rounding across BLAS builds. The random number
 generator is counter-based (splitmix64): a given seed gives the same words
 and the same uniforms, bit for bit, on every platform and NumPy version.
-Sampled floats rest in addition on IEEE basic operations, ``sqrt``, libm's
-``cos`` and ``sin``, NumPy's ``cbrt`` loop and, for normals, its ``log1p``
-loop, so they are bit-identical wherever those give the same bytes.
+Sampled floats rest in addition on IEEE basic operations, ``sqrt`` and
+NumPy's ``tan`` and ``cbrt`` loops, which NumPy picks per CPU; normals rest
+instead on its ``log1p`` loop and libm's ``cos`` and ``sin``. They are
+bit-identical wherever those give the same bytes.
 
 One sampler core (``_rows``) serves ``RngStream.normals`` and the three
 samplers. It draws a chunk in column layout: the w words of n points are
@@ -17,9 +18,10 @@ a workspace its caller owns: a step row and six rows of n doubles. Words
 per point: sphere 2 (z = 2u - 1 by Archimedes' hat-box theorem and an
 angle), ball 3 (the sphere and a radius cbrt(u'')), 3-sphere 3
 (Shoemake's construction), normals 2 per pair (Box-Muller). No sampler
-takes a logarithm or a norm. Every step is the same floating-point
-operation on the same arguments as the plain formulas, so the outputs are
-bit-identical to those formulas. One batch helper (``map_batches``) cuts a
+takes a logarithm or a norm, and each angle costs one ``tan``
+(``_circle``). Every step is the same floating-point operation on the
+same arguments as the plain formulas, so the outputs are bit-identical to
+those formulas. One batch helper (``map_batches``) cuts a
 sampled computation into fixed-size batches on substreams of one base word
 and runs them serially or on a thread pool, with the same results either way.
 """
@@ -40,7 +42,7 @@ _UNIFORM_SHIFT = np.uint64(11)  # keeps the top 53 bits of a word
 # Eigenvector components below this magnitude are treated as zero when
 # applying the sign convention.
 SIGN_TOL = 1e-12
-# Largest |h - h^dag| entry eig_herm4 accepts as Hermitian.
+# Largest |h - h^dag| entry eig_herm4 accepts as Hermitian, and |q - q^T| entry eig_sym4 as symmetric.
 HERMITIAN_TOL = 1e-12
 # Most batches map_batches cuts one computation into.
 MAX_BATCHES = 1 << 16
@@ -101,8 +103,9 @@ class RngStream:
     Normals come from Box-Muller pairs; ``normals(n)`` consumes
     2*ceil(n/2) uniforms and rests on libm's ``cos``/``sin`` and NumPy's
     ``log1p``. The samplers take 2 (sphere) or 3 (ball, 3-sphere) words
-    per point, see ``_rows``. Every count goes through ``operator.index``,
-    and a negative one raises ValueError before any word is drawn.
+    per point and rest on NumPy's ``tan`` and ``cbrt`` instead, see
+    ``_rows``. Every count goes through ``operator.index``, and a negative
+    one raises ValueError before any word is drawn.
     """
 
     def __init__(self, seed: int):
@@ -202,23 +205,31 @@ def _uniform_rows(rng: RngStream, step: np.ndarray, b: np.ndarray, w: int) -> np
     return u
 
 
-def _circle(u: np.ndarray, amp: np.ndarray, chi: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray) -> None:
+def _circle(u: np.ndarray, amp: np.ndarray, t: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray) -> None:
     """sin chi and cos chi into two rows, where amp * (sin chi, cos chi) is the input amp * (cos 2 pi u, sin 2 pi u).
 
     With a = 1/2 - u, chi = 2 pi (a - copysign(1/4, a)) and amp takes the
     sign of a: then (cos 2 pi u, sin 2 pi u) = sign(a) (sin chi, cos chi).
-    chi lies in [-pi/2, pi/2], where libm's cos and sin cost about two
-    thirds of what they cost on [0, 2 pi); a and the difference are exact,
-    so chi rounds once. All in place: u is left holding a, and chi may be
-    cos_out.
+    By the half-angle (Weierstrass) substitution t = tan(chi/2) and
+    w = 2 / (1 + t*t), sin chi = t*w and cos chi = w - 1: one call of
+    NumPy's ``tan`` loop in place of libm's ``sin`` and ``cos``. The fold
+    keeps chi/2 in [-pi/4, pi/4], so t lies in [-1, 1], away from the pole
+    of tan, and w in [1, 2], where w - 1 is exact (Sterbenz); a and the
+    difference are exact, so chi/2 rounds once. All in place: u is left
+    holding a, w is built on cos_out, which may be u, and sin_out may be t
+    or u; t and cos_out are distinct rows, and amp is distinct from all.
     """
     np.subtract(0.5, u, out=u)
-    np.copysign(0.25, u, out=chi)
-    np.subtract(u, chi, out=chi)
-    chi *= 2.0 * np.pi
+    np.copysign(0.25, u, out=t)
+    np.subtract(u, t, out=t)
+    t *= np.pi
+    np.tan(t, out=t)
     np.copysign(amp, u, out=amp)
-    np.sin(chi, out=sin_out)
-    np.cos(chi, out=cos_out)
+    np.multiply(t, t, out=cos_out)
+    cos_out += 1.0
+    np.divide(2.0, cos_out, out=cos_out)
+    np.multiply(t, cos_out, out=sin_out)
+    cos_out -= 1.0
 
 
 def _rows(rng: RngStream, n: int, kind: str, ws=None) -> np.ndarray:
@@ -235,7 +246,8 @@ def _rows(rng: RngStream, n: int, kind: str, ws=None) -> np.ndarray:
     - "sphere4" (3 words, k = 4): (sqrt(1-u) sin 2 pi u', sqrt(1-u) cos 2 pi u',
       sqrt(u) sin 2 pi u'', sqrt(u) cos 2 pi u'').
 
-    The samplers' angles go through ``_circle``. Each step is one call over
+    The samplers' angles go through ``_circle``: one ``tan`` of the half
+    angle each, no ``sin`` or ``cos``. Each step is one call over
     rows of the block (6, n) at the start of the buffer: the words take
     rows 0 .. w and the uniforms rows 3 .. 3+w, and the points land on
     rows 3 .. 5 (3 .. 4 for normals, 2 .. 5 for sphere4), so rows 0 .. 2
@@ -259,11 +271,12 @@ def _rows(rng: RngStream, n: int, kind: str, ws=None) -> np.ndarray:
         np.subtract(1.0, u[0], out=b[0])
         np.sqrt(b[0], out=b[0])
         np.sqrt(u[0], out=b[1])
-        # rows 2 .. 5 get (cos chi, sin chi) of u' and of u'': times amp, (sin, cos) of 2 pi u' and 2 pi u''
-        _circle(u[1], b[0], b[2], b[3], b[2])
-        _circle(u[2], b[1], b[4], b[5], b[4])
-        pairs = b[2:].reshape(2, 2, n)
-        np.multiply(pairs, b[:2, None], out=pairs)
+        # rows 2 .. 5 get (cos chi, sin chi) of u' and of u'': times amp, (sin, cos) of 2 pi u' and 2 pi u'';
+        # the first pair is scaled before the second angle, which takes the freed amplitude row as its t
+        _circle(u[1], b[0], b[3], b[3], b[2])
+        b[2:4] *= b[0]
+        _circle(u[2], b[1], b[0], b[5], b[4])
+        b[4:] *= b[1]
         return b[2:]
     rho, tmp, r, z = b[0], b[1], b[2], b[5]
     if kind == "ball":
@@ -274,7 +287,7 @@ def _rows(rng: RngStream, n: int, kind: str, ws=None) -> np.ndarray:
     np.add(z, 1.0, out=tmp)
     rho *= tmp
     np.sqrt(rho, out=rho)
-    _circle(u[1], rho, tmp, b[3], b[4])
+    _circle(u[1], rho, b[3], b[3], b[4])
     b[3:5] *= rho
     if kind == "ball":
         b[3:] *= r
@@ -392,10 +405,16 @@ def _real_array(value, shape: tuple, name: str) -> np.ndarray:
 
 
 def eig_sym4(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric 4x4."""
+    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric 4x4.
+
+    ValueError for a non-finite entry or for |q - q^T| above HERMITIAN_TOL.
+    """
     q = _real_array(q, (4, 4), "q")
     if not np.isfinite(q).all():
         raise ValueError("matrix has non-finite entries")
+    dev = float(np.abs(q - q.T).max())
+    if not (dev <= HERMITIAN_TOL):
+        raise ValueError(f"matrix is not symmetric (max deviation {dev:.3e})")
     return eigh_desc(0.5 * (q + q.T))
 
 

@@ -181,9 +181,9 @@ SAMPLED_SHA256 = [
 ]
 
 SAMPLER_SHA256 = [
-    (lambda: ball_samples(RngStream(1), 1001), "4f0c251fb78d4ee0385dc54d772c5d11eecdb1f557d15bcae8f5485cd050212a"),
-    (lambda: sphere_samples(RngStream(2), 1001), "a0de72966633aa69efc1bfbcab58ed80583bbab60852165fc1ccd9d832f4df8a"),
-    (lambda: sphere4_samples(RngStream(3), 1001), "a5bd869952404a1d9548d70fe33262e828e2d468d246f8ca0bd140950aa09f4a"),
+    (lambda: ball_samples(RngStream(1), 1001), "03434b4db31f51ade8e55d0561f519e5e458bbb2ba277507784d597685b9eb9f"),
+    (lambda: sphere_samples(RngStream(2), 1001), "0781f59af0a3aaae0a6589bfcaf2cbcacb51389c18e88de3b1378e6cdb9b649b"),
+    (lambda: sphere4_samples(RngStream(3), 1001), "3d084412e1ab9f5c0faaeebdefe95feb5e836be693c0aa238d11a05695e014ca"),
     (lambda: RngStream(4).normals(1001), "e374966e2c8295b2750e521d15a5b200f50ec7cf3da40f75acbe1abae767671a"),
 ]
 

@@ -129,6 +129,24 @@ class TestEigSym4:
         with pytest.raises(ValueError):
             eig_sym4(q)
 
+    def test_rejects_non_symmetric(self):
+        # eig_sym4 returned the eigenpairs of the symmetric part without a word
+        with pytest.raises(ValueError, match=r"^matrix is not symmetric \(max deviation 9\.000e\+00\)$"):
+            eig_sym4(np.arange(16.0).reshape(4, 4))
+        q = np.eye(4)
+        q[1, 2] = 2e-12
+        with pytest.raises(ValueError, match=r"max deviation 2\.000e-12"):
+            eig_sym4(q)
+
+    def test_accepts_the_symmetry_tolerance(self):
+        # within QForm's tolerance of 1e-12 the symmetric part is solved
+        q = random_symmetric(RngStream(109))
+        skewed = q.copy()
+        skewed[0, 3] += 5e-13
+        w, v = eig_sym4(skewed)
+        w_sym, v_sym = eig_sym4(0.5 * (skewed + skewed.T))
+        assert np.array_equal(w, w_sym) and np.array_equal(v, v_sym)
+
 
 class TestEighDesc:
     """The general-n kernel eigh_desc behind eig_sym4."""
