@@ -266,7 +266,7 @@ def _as_table(doc: dict, prefix: str = "") -> str:
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             lines.append(_as_table(value, prefix=name + "."))
-        elif isinstance(value, list) and value and isinstance(value[0], list):
+        elif isinstance(value, list) and value and all(isinstance(row, list) for row in value):
             lines.append(f"{name}:")
             for row in value:
                 lines.append("    " + "  ".join(_cell(x) for x in row))

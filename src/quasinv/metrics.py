@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AffineChannel, _rotation_entries, check_bloch
-from .numerics import MAX_BATCHES, RngStream, _pooled, _rows, map_batches
+from .numerics import MAX_BATCHES, RngStream, _draw_batches
 
 MC_MIN_SAMPLES = 1000
 _MC_BATCH = 32768
@@ -50,7 +50,7 @@ def trace_distance(r, z) -> float:
 
 
 def _region(region: str) -> tuple:
-    """The closed form's denominator, the ``numerics._rows`` kind and the Monte Carlo method of a region."""
+    """The closed form's denominator, the sampler kind and the Monte Carlo method of a region."""
     if region == "ball":
         return 20.0, "ball", METHOD_MC_BALL
     if region == "surface":
@@ -110,26 +110,20 @@ def mstd_monte_carlo(
 ) -> MstdReport:
     """Monte Carlo MSTD estimate from n samples of the chosen region.
 
-    Samples are drawn in fixed-size batches from substreams derived from
-    one draw of ``rng``, so the result depends only on (seed, n, region)
-    and is identical for any worker count. Each batch is drawn whole, its
-    points the contiguous rows of P (3, k), into a workspace for the
-    largest batch (a step row and 6 rows: 1.84 MB for a full one) that each
-    worker thread keeps for all of its batches. P lands on rows 3 .. 5 and
-    Y = P - (M P + c) on the spent rows 0 .. 2. The squared distances
+    ``numerics._draw_batches`` draws the samples in 32,768-point batches,
+    each one chunk, so the result depends only on (seed, n, region) and is
+    identical for any worker count. For a batch P (3, k),
+    Y = P - (M P + c) goes on the spent rows. The squared distances
     ``0.25 * ((y0*y0 + y2*y2) + y1*y1)``, in that order, build up in place
     on row y0 and their squares go to row y1; both sums run over the whole
     batch.
     """
     n = operator.index(n)
-    if not MC_MIN_SAMPLES <= n <= MC_MAX_SAMPLES:
-        raise ValueError(f"need {MC_MIN_SAMPLES}..{MC_MAX_SAMPLES} samples, got {n}")
     _, kind, method = _region(region)
     m, c = e.m, e.c[:, None]
 
-    def run_batch(stream: RngStream, size: int, ws) -> tuple[float, float]:
-        p = _rows(stream, size, kind, ws)
-        y = np.matmul(m, p, out=ws[1][: 3 * size].reshape(3, size))
+    def evaluate(p: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+        np.matmul(m, p, out=y)
         y += c
         np.subtract(p, y, out=y)
         y *= y
@@ -141,7 +135,7 @@ def mstd_monte_carlo(
 
     total = 0.0
     total_sq = 0.0
-    for s1, s2 in map_batches(rng, n, _MC_BATCH, _pooled(run_batch, min(n, _MC_BATCH), kind), workers):
+    for s1, s2 in _draw_batches(rng, n, MC_MIN_SAMPLES, _MC_BATCH, _MC_BATCH, kind, evaluate, workers):
         total += s1
         total_sq += s2
     mean = total / n

@@ -21,9 +21,9 @@ angle), ball 3 (the sphere and a radius cbrt(u'')), 3-sphere 3
 takes a logarithm or a norm, and each angle costs one ``tan``
 (``_circle``). Every step is the same floating-point operation on the
 same arguments as the plain formulas, so the outputs are bit-identical to
-those formulas. One batch helper (``map_batches``) cuts a
-sampled computation into fixed-size batches on substreams of one base word
-and runs them serially or on a thread pool, with the same results either way.
+those formulas. One sampling driver (``_draw_batches``) cuts n points
+into batches on substreams of one base word, draws them in chunks on a
+workspace per thread and hands each chunk to the caller's function.
 """
 
 from __future__ import annotations
@@ -44,10 +44,8 @@ _UNIFORM_SHIFT = np.uint64(11)  # keeps the top 53 bits of a word
 SIGN_TOL = 1e-12
 # Largest |h - h^dag| entry eig_herm4 accepts as Hermitian, and |q - q^T| entry eig_sym4 as symmetric.
 HERMITIAN_TOL = 1e-12
-# Most batches map_batches cuts one computation into.
+# Most batches _draw_batches cuts one computation into.
 MAX_BATCHES = 1 << 16
-# Points brute_force_best draws and ranks at a time, in a ``_workspace`` of 7 words per point (0.92 MB).
-_CHUNK_POINTS = 16384
 # Generator words per point of each kind of ``_rows``.
 _WORDS = {"normals": 2, "sphere": 2, "ball": 3, "sphere4": 3}
 
@@ -165,27 +163,6 @@ def _workspace(n: int, kind: str) -> tuple[np.ndarray, np.ndarray, int]:
     return step, np.empty(6 * n), w
 
 
-def _pooled(fn, n: int, kind: str):
-    """``fn(stream, size, ws)`` as a ``map_batches`` function that lends each batch a ``_workspace(n, kind)``.
-
-    A finished batch hands its workspace on to the next batch of the same
-    call, so each worker thread makes one and keeps it; list.pop and
-    list.append are atomic, and a batch running holds its workspace alone.
-    """
-    spare = []
-
-    def run(stream: RngStream, size: int):
-        try:
-            ws = spare.pop()
-        except IndexError:
-            ws = _workspace(n, kind)
-        result = fn(stream, size, ws)
-        spare.append(ws)
-        return result
-
-    return run
-
-
 def _uniform_rows(rng: RngStream, step: np.ndarray, b: np.ndarray, w: int) -> np.ndarray:
     """The next w*n uniforms (n = ``step.size``) as rows 3 .. 3+w of the block ``b`` (6, n).
 
@@ -250,8 +227,8 @@ def _rows(rng: RngStream, n: int, kind: str, ws=None) -> np.ndarray:
     angle each, no ``sin`` or ``cos``. Each step is one call over
     rows of the block (6, n) at the start of the buffer: the words take
     rows 0 .. w and the uniforms rows 3 .. 3+w, and the points land on
-    rows 3 .. 5 (3 .. 4 for normals, 2 .. 5 for sphere4), so rows 0 .. 2
-    are spent and free to the caller once the points are drawn.
+    rows 3 .. 5 (3 .. 4 for normals, 2 .. 5 for sphere4), so the rows
+    before them are spent and free to the caller once the points are drawn.
     """
     step, buf, w = ws or _workspace(n, kind)
     b = buf[: 6 * n].reshape(6, n)
@@ -312,43 +289,59 @@ def sphere4_samples(rng: RngStream, n: int) -> np.ndarray:
     return _rows(rng, n, "sphere4").T.copy()
 
 
-def map_batches(rng: RngStream, n: int, batch: int, fn, workers: int = 1) -> list:
-    """[fn(stream_k, size_k)] over n items cut into batches of ``batch`` (the last one shorter).
+def _draw_batches(rng: RngStream, n: int, low: int, batch: int, chunk: int, kind: str, fn, workers: int) -> list:
+    """[fn(points, spent)] for every chunk of n points of a kind ("ball", "sphere" or "sphere4"), in draw order.
 
-    Batch k draws from ``substream(base, k)``, where base is one word of
-    ``rng``, so the results depend on (rng, n, batch) and not on the number
-    of worker threads. There are at most ``MAX_BATCHES`` batches.
-    ``n`` is an integer >= 0, ``batch`` one >= 1, and
-    ``workers`` is an integer >= 1 (a bool is refused);
-    the pool has no more threads than there are batches, and with one
-    thread the batches run serially without a pool. Results come back in
-    batch order either way.
+    Batch k, points k*batch .. (k+1)*batch (the last batch shorter), draws
+    from ``substream(base, k)``, base one word of ``rng``, ``chunk`` points
+    at a time, so the results do not depend on the number of worker
+    threads. ``points`` is ``_rows``' view (dim, size) of a chunk, the last
+    rows of its block; ``spent`` holds the block's rows before them (3 for
+    ball and sphere, 2 for sphere4), free to ``fn``. The next chunk
+    rewrites both. A finished batch hands its ``_workspace(min(n, chunk),
+    kind)`` on to the next, so each worker thread makes one and keeps it;
+    list.pop and list.append are atomic. ``n`` outside ``low ..
+    MAX_BATCHES * batch`` and ``workers`` not an integer >= 1 (a bool is
+    refused) are refused before the base word is drawn. The pool has no
+    more threads than batches, and one thread runs them without a pool.
     """
+    n = operator.index(n)
+    high = MAX_BATCHES * batch
+    if not low <= n <= high:
+        raise ValueError(f"need {low}..{high} samples, got {n}")
     if isinstance(workers, bool) or not hasattr(type(workers), "__index__"):
         raise TypeError(f"workers must be an integer, got {workers!r}")
     workers = operator.index(workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    n, batch = operator.index(n), operator.index(batch)
-    if n < 0 or batch < 1:
-        raise ValueError(f"need n >= 0 items in batches of batch >= 1, got n={n}, batch={batch}")
-    if n > MAX_BATCHES * batch:
-        raise ValueError(f"{n} items need more than {MAX_BATCHES} batches of {batch}")
     base = rng.u64()
-    sizes = [batch] * (n // batch)
-    if n % batch:
-        sizes.append(n % batch)
+    firsts = range(0, n, batch)
+    spare = []
 
-    def run(k: int):
-        return fn(substream(base, k), sizes[k])
+    def run(first: int) -> list:
+        try:
+            ws = spare.pop()
+        except IndexError:
+            ws = _workspace(min(n, chunk), kind)
+        end = min(first + batch, n)
+        stream, results = substream(base, first // batch), []
+        # the stream yields the same words chunk by chunk as in one draw
+        for start in range(first, end, chunk):
+            size = min(chunk, end - start)
+            points = _rows(stream, size, kind, ws)
+            results.append(fn(points, ws[1][: 6 * size].reshape(6, size)[: 6 - len(points)]))
+        spare.append(ws)
+        return results
 
-    threads = min(workers, len(sizes))
+    threads = min(workers, len(firsts))
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # not loaded on a one-thread path
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(len(sizes))))
-    return [run(k) for k in range(len(sizes))]
+            batches = list(pool.map(run, firsts))
+    else:
+        batches = map(run, firsts)
+    return [result for results in batches for result in results]
 
 
 def sample_ball(rng: RngStream) -> np.ndarray:

@@ -12,7 +12,6 @@ so agreement is meaningful evidence.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +19,13 @@ import numpy as np
 from .channels import AffineChannel, _rotation_entries
 from .inverter import QuasiInverseResult
 from .metrics import _mstd_after_rotation, mstd_analytic
-from .numerics import _CHUNK_POINTS, MAX_BATCHES, RngStream, _pooled, _rows, map_batches
+from .numerics import MAX_BATCHES, RngStream, _draw_batches
 
 BRUTE_FORCE_MIN_SAMPLES = 10_000
 _BATCH = 65536
 BRUTE_FORCE_MAX_SAMPLES = MAX_BATCHES * _BATCH  # 2^32
+# points drawn and ranked at a time, in a workspace of 7 words per point (0.92 MB)
+_CHUNK_POINTS = 16384
 
 VIOLATION_TOL = 1e-9
 _NEARNESS_REL = 0.01
@@ -104,39 +105,29 @@ def brute_force_best(
 ) -> tuple[np.ndarray, float]:
     """Best (x, delta) over n random unit 4-vectors plus the 4 axis candidates, refined.
 
-    Samples come from substreams derived from one draw of ``rng`` in fixed
-    batches, so the result is independent of the worker count. Each batch
-    is drawn in ``numerics._CHUNK_POINTS``-point chunks, held as the rows
-    (x0, x1, x2, x3) of a 0.92 MB workspace that each worker thread keeps
-    for all of its batches. The axes and samples are ranked by
-    ``_traces``, the first maximum winning as in one argmax over all; only
-    it is evaluated by composition. A pattern search (``_polish``)
-    then climbs from it, so the result does not hang on a narrow peak.
+    ``numerics._draw_batches`` draws the samples in 65,536-point batches
+    of 16,384-point chunks, so the result is independent of the worker
+    count. The axes and samples are ranked by ``_traces``, the first
+    maximum winning as in one argmax over all; only it is evaluated by
+    composition. A pattern search (``_polish``) then climbs from it, so
+    the result does not hang on a narrow peak.
     """
-    n = operator.index(n)
-    if not BRUTE_FORCE_MIN_SAMPLES <= n <= BRUTE_FORCE_MAX_SAMPLES:
-        raise ValueError(f"need {BRUTE_FORCE_MIN_SAMPLES}..{BRUTE_FORCE_MAX_SAMPLES} samples, got {n}")
     mt = e.m.T.ravel().tolist()
+
+    def best_of_chunk(g: np.ndarray, spent: np.ndarray) -> tuple[float, np.ndarray]:
+        t = _traces(g, mt)
+        j = int(np.argmax(t))
+        return float(t[j]), g[:, j].copy()  # the workspace is rewritten by the next chunk
+
+    bests = _draw_batches(rng, n, BRUTE_FORCE_MIN_SAMPLES, _BATCH, _CHUNK_POINTS, "sphere4", best_of_chunk, workers)
     traces = _traces(_CANONICAL.T, mt)
     k_best = int(np.argmax(traces))
     best_x = _CANONICAL[k_best].copy()
     best_trace = float(traces[k_best])
-
-    def run_batch(stream: RngStream, size: int, ws) -> list[tuple[float, np.ndarray]]:
-        # the stream yields the same words chunk by chunk as in one draw
-        bests = []
-        for start in range(0, size, _CHUNK_POINTS):
-            g = _rows(stream, min(_CHUNK_POINTS, size - start), "sphere4", ws)
-            t = _traces(g, mt)
-            j = int(np.argmax(t))
-            bests.append((float(t[j]), g[:, j].copy()))  # the buffer is rewritten by the next chunk
-        return bests
-
-    for bests in map_batches(rng, n, _BATCH, _pooled(run_batch, _CHUNK_POINTS, "sphere4"), workers):
-        for t, x in bests:
-            if t > best_trace:
-                best_trace = t
-                best_x = x
+    for t, x in bests:
+        if t > best_trace:
+            best_trace = t
+            best_x = x
     base_value = mstd_analytic(e).value
     return _polish(e, best_x, base_value - _mstd_after_rotation(best_x.tolist(), e), base_value)
 

@@ -118,6 +118,20 @@ class TestAnalyze:
         assert code == 0
         assert "delta_mstd" in out and "{" not in out
 
+    @pytest.mark.parametrize("command", ["analyze", "mstd"])
+    @pytest.mark.parametrize(
+        "x,line",
+        [([[1], 2], "input.x: [[1], 2]"), ([[1], {"a": 1}], "input.x: [[1], {'a': 1}]")],
+        ids=["number-item", "object-item"],
+    )
+    def test_table_irregular_list(self, capsys, tmp_path, command, x, line):
+        # a list is a matrix only when every item is a row: [[1], 2] raised TypeError, and
+        # [[1], {"a": 1}] printed the row "a" without its value
+        path = write_doc(tmp_path, {"type": "pauli", "p": [0.1, 0.6, 0.2, 0.1], "x": x})
+        code, out = run_cli(capsys, command, path, "--format", "table")
+        assert code == 0
+        assert line in out.splitlines()
+
 
 class TestMstd:
     def test_identity_analytic(self, capsys, tmp_path):

@@ -286,6 +286,7 @@ class TestArrayFields:
             (_affine_text(_M, c=(0, 0, 1)).replace("0, 1]}", f"0, -{_HUGE}]}}"),
              "field 'c' holds an integer too large for a float"),
         ],
+        ids=lambda value: value.replace(_HUGE, "10**400"),  # the literal's 401 digits would fill the id
     )
     def test_parse_error(self, capsys, monkeypatch, text, message):
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))

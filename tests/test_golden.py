@@ -3,7 +3,8 @@
 The digests and literals below were captured before the family table, the
 shared batch and normals helpers, the rendering of reports from their own
 dataclass fields, and the report schemas derived from those fields existed;
-they pin the bytes those must reproduce.
+they pin the bytes those must reproduce. Each test id names its case,
+never its digest, so a re-pin keeps the ids.
 """
 
 import hashlib
@@ -113,7 +114,7 @@ SCHEMA_SHA256 = [
 
 
 class TestPublishedSchemas:
-    @pytest.mark.parametrize("name,digest", SCHEMA_SHA256)
+    @pytest.mark.parametrize("name,digest", SCHEMA_SHA256, ids=[name for name, _ in SCHEMA_SHA256])
     def test_bytes(self, name, digest):
         assert sha256(json.dumps(getattr(documents, f"{name}_DOCUMENT_SCHEMA"))) == digest
 
@@ -137,7 +138,7 @@ ZOO_SHA256 = [
 
 
 class TestZooGolden:
-    @pytest.mark.parametrize("family,params,digest", ZOO_SHA256)
+    @pytest.mark.parametrize("family,params,digest", ZOO_SHA256, ids=["-".join([f, *p]) for f, p, _ in ZOO_SHA256])
     def test_document_bytes(self, capsys, monkeypatch, family, params, digest):
         code, out = run_cli(capsys, monkeypatch, ["zoo", family, "--", *params])
         assert code == 0
@@ -180,6 +181,8 @@ SAMPLED_SHA256 = [
      "3f0a9dbb6327a7324f90c25543fe09791e7941ccac2a8a9a29377f40dfb363a3"),
 ]
 
+SAMPLED_NAMES = ["mstd-ball-pauli", "mstd-surface-pauli", "verify-pauli", "verify-mixed_unitary"]
+
 SAMPLER_SHA256 = [
     (lambda: ball_samples(RngStream(1), 1001), "03434b4db31f51ade8e55d0561f519e5e458bbb2ba277507784d597685b9eb9f"),
     (lambda: sphere_samples(RngStream(2), 1001), "0781f59af0a3aaae0a6589bfcaf2cbcacb51389c18e88de3b1378e6cdb9b649b"),
@@ -189,13 +192,13 @@ SAMPLER_SHA256 = [
 
 
 class TestSampledGolden:
-    @pytest.mark.parametrize("argv,document,digest", SAMPLED_SHA256)
+    @pytest.mark.parametrize("argv,document,digest", SAMPLED_SHA256, ids=SAMPLED_NAMES)
     def test_cli_bytes(self, capsys, monkeypatch, argv, document, digest):
         code, out = run_cli(capsys, monkeypatch, argv, stdin=document)
         assert code == 0
         assert sha256(out) == digest
 
-    @pytest.mark.parametrize("draw,digest", SAMPLER_SHA256)
+    @pytest.mark.parametrize("draw,digest", SAMPLER_SHA256, ids=["ball", "sphere", "sphere4", "normals"])
     def test_sampler_bytes(self, draw, digest):
         assert hashlib.sha256(draw().tobytes()).hexdigest() == digest
 
@@ -242,7 +245,11 @@ ANALYTIC_SHA256 = [
 
 
 class TestAnalyticGolden:
-    @pytest.mark.parametrize("name,command,exit_code,digest", ANALYTIC_SHA256)
+    @pytest.mark.parametrize(
+        "name,command,exit_code,digest",
+        ANALYTIC_SHA256,
+        ids=[f"{name}-{command}" for name, command, *_ in ANALYTIC_SHA256],
+    )
     def test_cli_bytes(self, capsys, monkeypatch, name, command, exit_code, digest):
         code, out = run_cli(capsys, monkeypatch, ANALYTIC_ARGV[command], stdin=ANALYTIC_DOCUMENTS[name])
         assert code == exit_code

@@ -21,8 +21,8 @@ from quasinv import kraus_to_affine, make, mstd_monte_carlo, oracle, quasi_inver
 from quasinv.numerics import (
     MAX_BATCHES,
     RngStream,
+    _draw_batches,
     ball_samples,
-    map_batches,
     sphere4_samples,
     sphere_samples,
     substream,
@@ -376,6 +376,7 @@ class TestSamplerGolden:
             (lambda: sphere4_samples(RngStream(13), 65537),
              "805ca21f6f92073e1b1610b23685ab3b619aac295dc8f4e02a70bb2576d5a3bb"),
         ],
+        ids=["ball", "sphere", "sphere4"],
     )
     def test_sampler_bytes(self, draw, digest):
         assert _digest(draw()) == digest
@@ -386,6 +387,7 @@ class TestSamplerGolden:
             ("ball", "a18c032f78b627e6085d5caf55019b4ff6a39b4a1cf11dd277a163a37af3bfdd"),
             ("surface", "d6b1cc20eb67e9492141672beac4cfb6c8bdf0f1e968c2e23ccdb5057b2f5512"),
         ],
+        ids=["ball", "surface"],
     )
     @pytest.mark.parametrize("workers", [1, 2])
     def test_monte_carlo_bytes(self, region, digest, workers):
@@ -414,34 +416,36 @@ class TestWorkerArgument:
         assert (one.value, one.stderr) == (two.value, two.stderr)
 
 
+def _no_chunk(points, spent):
+    pytest.fail("a chunk ran")
+
+
 class TestBatchMaximum:
-    """map_batches refuses more than MAX_BATCHES batches before it draws or runs any."""
+    """_draw_batches refuses more than MAX_BATCHES batches before it draws or runs any."""
 
     @pytest.mark.parametrize("n", [MAX_BATCHES * 5 + 1, 10**23])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_refused_before_any_batch(self, n, workers):
         rng = RngStream(3)
-        with pytest.raises(ValueError, match=f"more than {MAX_BATCHES} batches of 5"):
-            map_batches(rng, n, 5, lambda stream, size: pytest.fail("a batch ran"), workers)
+        with pytest.raises(ValueError, match=rf"^need 0\.\.{MAX_BATCHES * 5} samples, got {n}$"):
+            _draw_batches(rng, n, 0, 5, 5, "sphere", _no_chunk, workers)
         assert rng.u64() == RngStream(3).u64()  # the base word was not drawn
 
-    @pytest.mark.parametrize("n,batch", [(-5, 4), (-1, 1), (0, 0), (5, 0), (0, -1)])
-    def test_bad_counts_refused_before_the_base_word(self, n, batch):
-        # (-5, 4) ran one batch of 3 items, (0, 0) raised ZeroDivisionError after drawing
+    @pytest.mark.parametrize("n", [-5, -1])
+    def test_bad_counts_refused_before_the_base_word(self, n):
         rng = RngStream(3)
-        with pytest.raises(ValueError, match=rf"^need n >= 0 items in batches of batch >= 1, got n={n}, batch={batch}$"):
-            map_batches(rng, n, batch, lambda stream, size: pytest.fail("a batch ran"))
+        with pytest.raises(ValueError, match=rf"^need 0\.\.{MAX_BATCHES * 4} samples, got {n}$"):
+            _draw_batches(rng, n, 0, 4, 4, "sphere", _no_chunk, 1)
         assert rng.u64() == RngStream(3).u64()
 
-    @pytest.mark.parametrize("n,batch", [(2.5, 4), (8, 4.0)])
-    def test_non_integer_counts_refused(self, n, batch):
+    def test_non_integer_counts_refused(self):
         rng = RngStream(3)
         with pytest.raises(TypeError):
-            map_batches(rng, n, batch, lambda stream, size: pytest.fail("a batch ran"))
+            _draw_batches(rng, 2.5, 0, 4, 4, "sphere", _no_chunk, 1)
         assert rng.u64() == RngStream(3).u64()
 
     def test_zero_items_run_no_batch(self):
-        assert map_batches(RngStream(3), 0, 4, lambda stream, size: pytest.fail("a batch ran")) == []
+        assert _draw_batches(RngStream(3), 0, 0, 4, 4, "sphere", _no_chunk, 1) == []
 
     def test_maxima_of_the_sampling_commands(self):
         assert MAX_BATCHES == 2**16
@@ -497,7 +501,7 @@ class TestSampleRange:
 
 
 class TestPoolSize:
-    """map_batches starts no more threads than there are batches, and no pool for one."""
+    """_draw_batches starts no more threads than there are batches, and no pool for one."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -515,6 +519,32 @@ class TestPoolSize:
 
     @pytest.mark.parametrize("n,workers,pool", [(5, 8, []), (15, 1, []), (15, 2, [2]), (15, 8, [3])])
     def test_capped_at_the_batch_count(self, pools, n, workers, pool):
-        out = map_batches(RngStream(3), n, 5, lambda stream, size: (stream.u64(), size), workers)
-        assert out == map_batches(RngStream(3), n, 5, lambda stream, size: (stream.u64(), size))
+        def keep(points, spent):
+            return points.tobytes()
+
+        out = _draw_batches(RngStream(3), n, 0, 5, 2, "sphere", keep, workers)
+        assert out == _draw_batches(RngStream(3), n, 0, 5, 2, "sphere", keep, 1)
+        assert len(out) == 3 * n // 5
         assert pools == pool
+
+
+class TestSpentRows:
+    """Each chunk's ``spent`` rows are free to the chunk function: writing them leaves the points intact."""
+
+    @pytest.mark.parametrize("sampler,kind,rows", [
+        (ball_samples, "ball", 3), (sphere_samples, "sphere", 3), (sphere4_samples, "sphere4", 2),
+    ])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_points_survive_a_nan_fill(self, sampler, kind, rows, workers):
+        # batches of 10, 10 and 7 points in chunks of 4: each batch ends on a short chunk
+        def fill(points, spent):
+            assert spent.shape == (rows, points.shape[1])
+            spent[...] = np.nan
+            return points.T.copy()
+
+        chunks = _draw_batches(RngStream(9), 27, 0, 10, 4, kind, fill, workers)
+        assert [len(c) for c in chunks] == [4, 4, 2, 4, 4, 2, 4, 3]
+        base = RngStream(9).u64()
+        for k, (first, last) in enumerate([(0, 3), (3, 6), (6, 8)]):
+            batch = np.concatenate(chunks[first:last])
+            assert batch.tobytes() == sampler(substream(base, k), len(batch)).tobytes()
