@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream, _real_array
+from .numerics import RngStream, _checked_array
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -35,7 +35,7 @@ UNIT_NORM_TOL = 1e-12
 
 def check_bloch(r) -> np.ndarray:
     """Validate and return a Bloch vector (real 3-vector inside the ball)."""
-    r = _real_array(r, (3,), "Bloch vector")
+    r = _checked_array(r, (3,), "Bloch vector")
     if not np.all(np.isfinite(r)):
         raise ValueError("Bloch vector has non-finite entries")
     norm = float(np.linalg.norm(r))
@@ -58,18 +58,13 @@ class KrausChannel:
     residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = np.array(self.operators, order="C")
-        if ops.dtype.kind in "bUS":
-            raise TypeError(f"operators must be numeric, got dtype {ops.dtype}")
-        ops = ops.astype(complex, copy=False)
+        self.operators = ops = _checked_array(self.operators, None, "operators", complex)
         if not ops.size:
             raise ValueError("Kraus channel needs at least one operator")
         if ops.ndim != 3 or ops.shape[1:] != (2, 2):
             raise ValueError(f"Kraus operators must be 2x2, got a stack of shape {ops.shape}")
         if not np.isfinite(ops).all():
             raise ValueError("Kraus operator has non-finite entries")
-        ops.flags.writeable = False
-        self.operators = ops
         self.residual = self.tp_residual()
         if not (self.residual <= TP_TOL):
             raise ValueError(f"Kraus set is not trace preserving: residual {self.residual:.3e}")
@@ -97,8 +92,8 @@ class AffineChannel:
     c: np.ndarray
 
     def __post_init__(self):
-        self.m = m = _real_array(self.m, (3, 3), "m")
-        self.c = c = _real_array(self.c, (3,), "c")
+        self.m = m = _checked_array(self.m, (3, 3), "m")
+        self.c = c = _checked_array(self.c, (3,), "c")
         rows, (c0, c1, c2) = m.tolist(), c.tolist()
         if not all(map(math.isfinite, [*rows[0], *rows[1], *rows[2], c0, c1, c2])):
             raise ValueError("affine data has non-finite entries")
@@ -154,8 +149,8 @@ class UnitaryParams:
     xvec: np.ndarray
 
     def __post_init__(self):
-        self.x0 = float(_real_array(self.x0, (), "x0"))
-        self.xvec = _real_array(self.xvec, (3,), "xvec")
+        self.x0 = float(_checked_array(self.x0, (), "x0"))
+        self.xvec = _checked_array(self.xvec, (3,), "xvec")
         with np.errstate(all="ignore"):  # entries beyond ~1e154 overflow to inf
             norm2 = self.x0 * self.x0 + float(self.xvec @ self.xvec)
         if not (abs(norm2 - 1.0) <= UNIT_NORM_TOL):
@@ -163,7 +158,7 @@ class UnitaryParams:
 
     @classmethod
     def from_vector(cls, x4) -> "UnitaryParams":
-        x4 = _real_array(x4, (4,), "x4")
+        x4 = _checked_array(x4, (4,), "x4")
         return cls(x4[0], x4[1:])
 
 

@@ -298,7 +298,13 @@ def _render(obj, indent: int | None, level: int) -> str:
             raise ValueError(f"cannot serialize non-finite number {obj}")
         return f"{obj:.17g}" if obj else "0"  # "0" for -0.0 too
     if kind is list or (kind is not dict and isinstance(obj, (list, tuple))):
-        return _list(obj, indent, level)
+        items = []
+        for x in obj:
+            if type(x) is float and x - x == 0.0:  # a finite float inline: x - x is nan for inf and nan
+                items.append(f"{x:.17g}" if x else "0")
+            else:
+                items.append(_render(x, indent, level + 1))
+        return f"[{', '.join(items)}]"
     if kind is dict or isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -325,13 +331,3 @@ def _render(obj, indent: int | None, level: int) -> str:
         return _render(obj.tolist(), indent, level)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
-
-def _list(obj, indent: int | None, level: int) -> str:
-    """A list or tuple on one line: finite floats inline, nested lists by recursion, the rest by _render."""
-    items = []
-    for x in obj:
-        if type(x) is float and x - x == 0.0:  # x - x is nan for inf and nan
-            items.append(f"{x:.17g}" if x else "0")
-        else:
-            items.append(_list(x, indent, level + 1) if type(x) is list else _render(x, indent, level + 1))
-    return f"[{', '.join(items)}]"

@@ -26,7 +26,7 @@ from .channels import (
     validate_cptp,
 )
 from .metrics import _closed_form, _mstd_after_rotation, _region, mstd_analytic, mstd_composed
-from .numerics import _real_array, eig_sym4, eigh_desc
+from .numerics import HERMITIAN_TOL, _checked_array, eigh_desc
 
 TRIVIAL_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
@@ -41,11 +41,11 @@ class QForm:
     q: np.ndarray
 
     def __post_init__(self):
-        self.q = _real_array(self.q, (4, 4), "q")
+        self.q = _checked_array(self.q, (4, 4), "q")
         rows = self.q.tolist()
-        # numpy's elementwise |q - q^T| <= 1e-12 in Python floats, on the upper triangle: the same
-        # decision, since |a - b| is |b - a| and a diagonal entry passes exactly when it is finite
-        if not all([abs(rows[i][j] - rows[j][i]) <= 1e-12 for i, j in _UPPER_TRIANGLE]):
+        # eig_sym4's elementwise |q - q^T| <= HERMITIAN_TOL in Python floats, on the upper triangle: the
+        # same decision, since |a - b| is |b - a| and a diagonal entry passes exactly when it is finite
+        if not all([abs(rows[i][j] - rows[j][i]) <= HERMITIAN_TOL for i, j in _UPPER_TRIANGLE]):
             raise ValueError("quadratic form must be symmetric")
 
 
@@ -88,9 +88,10 @@ def maximize(qf: QForm) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the form and its unit eigenvector.
 
     Because the (0, 0) entry vanishes, the maximum over the unit sphere is
-    never below zero (up to roundoff).
+    never below zero (up to roundoff). QForm checked the form once: this is
+    the one ``eigh_desc(qf.q)`` call ``_solve`` makes too.
     """
-    w, v = eig_sym4(qf.q)
+    w, v = eigh_desc(qf.q)
     return float(w[0]), v[:, 0]
 
 

@@ -1,13 +1,14 @@
 """Small dense linear algebra and reproducible random sampling.
 
-Eigenpairs come from LAPACK (``np.linalg.eigh``/``eigvalsh``) with a fixed
-eigenvector sign convention and a stable descending order, so solver
-outputs are reproducible to rounding across BLAS builds. The random number
-generator is counter-based (splitmix64): a given seed gives the same words
-and the same uniforms, bit for bit, on every platform and NumPy version.
-Sampled floats rest in addition on IEEE basic operations, ``sqrt`` and
-NumPy's ``tan`` and ``cbrt`` loops, which NumPy picks per CPU; normals rest
-instead on its ``log1p`` loop and libm's ``cos`` and ``sin``. They are
+Each matrix job is done once, by ``_checked_array``, ``_hermitian_part`` and
+``eigh_desc``. Eigenpairs come from LAPACK (``np.linalg.eigh``/``eigvalsh``)
+with a fixed eigenvector sign convention and a stable descending order, so
+solver outputs are reproducible to rounding across BLAS builds. The random
+number generator is counter-based (splitmix64): a given seed gives the same
+words and the same uniforms, bit for bit, on every platform and NumPy
+version. Sampled floats rest in addition on IEEE basic operations, ``sqrt``
+and NumPy's ``tan`` and ``cbrt`` loops, which NumPy picks per CPU; normals
+rest instead on its ``log1p`` loop and libm's ``cos`` and ``sin``. They are
 bit-identical wherever those give the same bytes.
 
 One sampler core (``_rows``) serves ``RngStream.normals`` and the three
@@ -42,7 +43,7 @@ _UNIFORM_SHIFT = np.uint64(11)  # keeps the top 53 bits of a word
 # Eigenvector components below this magnitude are treated as zero when
 # applying the sign convention.
 SIGN_TOL = 1e-12
-# Largest |h - h^dag| entry eig_herm4 accepts as Hermitian, and |q - q^T| entry eig_sym4 as symmetric.
+# Largest |h - h^dag| entry eig_herm4 accepts as Hermitian, and |q - q^T| entry eig_sym4 and QForm as symmetric.
 HERMITIAN_TOL = 1e-12
 # Most batches _draw_batches cuts one computation into.
 MAX_BATCHES = 1 << 16
@@ -70,15 +71,12 @@ def _mix(z: np.ndarray, t: np.ndarray) -> None:
     z ^= t
 
 
-def _splitmix(seed: int, start: int, n: int, gamma: int, scratch=None) -> np.ndarray:
-    """Words j = start+1 .. start+n of ``mix64(seed + j*gamma)`` (mod 2**64), a new uint64 array.
-
-    ``scratch`` (n uint64 words, or a new array) is the mixer's temporary.
-    """
+def _splitmix(seed: int, start: int, n: int, gamma: int) -> np.ndarray:
+    """Words j = start+1 .. start+n of ``mix64(seed + j*gamma)`` (mod 2**64), a new uint64 array."""
     z = np.arange(n, dtype=np.uint64)
     z *= np.uint64(gamma)
     z += np.uint64((seed + (start + 1) * gamma) & _MASK64)
-    _mix(z, np.empty_like(z) if scratch is None else scratch)
+    _mix(z, np.empty_like(z))
     return z
 
 
@@ -113,9 +111,9 @@ class RngStream:
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, counter={self._counter})"
 
-    def _words(self, n: int, scratch=None) -> np.ndarray:
-        """The next n words; n is an int >= 0 the public method checked. ``scratch`` as in ``_splitmix``."""
-        out = _splitmix(self.seed, self._counter, n, _GAMMA, scratch)
+    def _words(self, n: int) -> np.ndarray:
+        """The next n words; n is an int >= 0 the public method checked."""
+        out = _splitmix(self.seed, self._counter, n, _GAMMA)
         self._counter += n
         return out
 
@@ -125,11 +123,9 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform doubles in [0, 1)."""
-        u = np.empty(_count(n, "uniforms"))
-        z = self._words(u.size, u.view(np.uint64))  # u is the mixer's scratch
+        z = self._words(_count(n, "uniforms"))
         z >>= _UNIFORM_SHIFT
-        np.multiply(z, 2.0**-53, out=u)  # exact: z < 2**53
-        return u
+        return np.multiply(z, 2.0**-53)  # exact: z < 2**53
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
@@ -368,13 +364,9 @@ def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues descending, eigenvector columns) under the sign
     convention. The descending sort is stable, so equal eigenvalues keep
     LAPACK's column order. A LAPACK failure raises ConvergenceError
-    carrying the off-diagonal norm of the input. A complex matrix is
-    refused with a TypeError rather than losing its imaginary part.
+    carrying the off-diagonal norm of the input. Its callers pass a checked
+    float64 array, so it does no cast or dtype check of its own.
     """
-    a = np.asarray(a)
-    if a.dtype.kind == "c":
-        raise TypeError(f"matrix must be real, got dtype {a.dtype}")
-    a = a.astype(float, copy=False)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -385,16 +377,33 @@ def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([values[i] for i in order]), np.array([_signed(columns[i]) for i in order]).T
 
 
-def _real_array(value, shape: tuple, name: str) -> np.ndarray:
-    """A read-only C-ordered float64 copy; TypeError for complex, bool or text, ValueError for another shape."""
+def _checked_array(value, shape: tuple | None, name: str, dtype=np.float64) -> np.ndarray:
+    """The one array intake: a read-only C-ordered copy of ``value`` cast to ``dtype`` (np.float64 or complex).
+
+    Before the cast, TypeError for bool or text, and for complex when ``dtype``
+    is real; then ValueError for a shape other than ``shape``, unless None.
+    """
     a = np.array(value, order="C")
-    if a.dtype.kind in "cbUS":
-        raise TypeError(f"{name} must be real, got dtype {a.dtype}")
-    if a.shape != shape:
+    real = dtype is np.float64
+    if a.dtype.kind in ("cbUS" if real else "bUS"):
+        raise TypeError(f"{name} must be {'real' if real else 'numeric'}, got dtype {a.dtype}")
+    if shape is not None and a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    a = a.astype(np.float64, copy=False)
+    a = a.astype(dtype, copy=False)
     a.flags.writeable = False
     return a
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^H) / 2 of a square array; ValueError for a non-finite entry, then for |a - a^H| above HERMITIAN_TOL."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    t = a.conj().T
+    dev = float(np.abs(a - t).max())
+    if not (dev <= HERMITIAN_TOL):
+        what = "Hermitian" if a.dtype.kind == "c" else "symmetric"
+        raise ValueError(f"matrix is not {what} (max deviation {dev:.3e})")
+    return 0.5 * (a + t)
 
 
 def eig_sym4(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,26 +411,12 @@ def eig_sym4(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ValueError for a non-finite entry or for |q - q^T| above HERMITIAN_TOL.
     """
-    q = _real_array(q, (4, 4), "q")
-    if not np.isfinite(q).all():
-        raise ValueError("matrix has non-finite entries")
-    dev = float(np.abs(q - q.T).max())
-    if not (dev <= HERMITIAN_TOL):
-        raise ValueError(f"matrix is not symmetric (max deviation {dev:.3e})")
-    return eigh_desc(0.5 * (q + q.T))
+    return eigh_desc(_hermitian_part(_checked_array(q, (4, 4), "q")))
 
 
 def eig_herm4(h: np.ndarray) -> np.ndarray:
     """Eigenvalues (descending) of a Hermitian 4x4 matrix; TypeError for bool or text, ValueError if not finite."""
-    h = np.asarray(h)
-    if h.dtype.kind in "bUS":
-        raise TypeError(f"matrix must be numeric, got dtype {h.dtype}")
-    h = h.astype(complex, copy=False)
+    h = _checked_array(h, None, "matrix", complex)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise ValueError("matrix has non-finite entries")
-    dev = float(np.abs(h - h.conj().T).max())
-    if not (dev <= HERMITIAN_TOL):
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return np.linalg.eigvalsh(0.5 * (h + h.conj().T))[::-1]
+    return np.linalg.eigvalsh(_hermitian_part(h))[::-1]

@@ -142,7 +142,8 @@ def _diag_q(entries) -> np.ndarray:
 
 def _make_pauli(params: dict) -> _Built:
     p = params["p"]
-    if np.any(p < -_PARAM_TOL) or abs(p.sum() - 1.0) > _PARAM_TOL:
+    # an entry above 1 is refused before the sum, which overflows (a RuntimeWarning) for two near 1e308
+    if np.any((p < -_PARAM_TOL) | (p > 1.0 + _PARAM_TOL)) or abs(p.sum() - 1.0) > _PARAM_TOL:
         raise ValueError(f"pauli probabilities must be nonnegative and sum to 1, got {p}")
     p = np.clip(p, 0.0, None)
     ops = [np.sqrt(p[0]) * IDENTITY2] + [np.sqrt(p[i + 1]) * PAULIS[i] for i in range(3)]

@@ -558,6 +558,14 @@ INTAKES = [
     pytest.param(check_bloch, "Bloch vector", np.zeros(3), _BAD3, id="check_bloch"),
     pytest.param(eig_sym4, "q", _Q, _BAD44, id="eig_sym4"),
 ]
+# (intake, field, valid integer, real and complex arguments, boolean and text stand-ins for them)
+_HERMITIAN = _Q + 0.5j * (np.eye(4, k=1) - np.eye(4, k=-1))
+COMPLEX_INTAKES = [
+    pytest.param(KrausChannel, "operators", ([np.eye(2, dtype=int)], [np.eye(2)], [1j * np.eye(2)]),
+                 ([np.eye(2, dtype=bool)], [np.eye(2).astype(str)], [np.eye(2).astype(bytes)]), id="KrausChannel"),
+    pytest.param(eig_herm4, "matrix", (np.eye(4, dtype=int), _Q, _HERMITIAN),
+                 (np.eye(4, dtype=bool), _Q.astype(str), _Q.astype(bytes)), id="eig_herm4"),
+]
 
 
 def layout_channels():
@@ -571,7 +579,10 @@ def layout_channels():
 
 
 class TestRealArrayIntake:
-    """AffineChannel, UnitaryParams, QForm, check_bloch and eig_sym4 keep read-only C-ordered float copies."""
+    """AffineChannel, UnitaryParams, QForm, check_bloch and eig_sym4 keep read-only C-ordered float copies.
+
+    KrausChannel and eig_herm4 take complex arrays through the same intake, which refuses only boolean and text.
+    """
 
     @pytest.mark.parametrize("intake, name, valid, bad", INTAKES)
     def test_refuses_complex_boolean_and_text(self, intake, name, valid, bad):
@@ -580,6 +591,16 @@ class TestRealArrayIntake:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # no ComplexWarning on the way to the refusal
                 with pytest.raises(TypeError, match=f"^{name} must be real, got dtype"):
+                    intake(value)
+
+    @pytest.mark.parametrize("intake, name, valid, bad", COMPLEX_INTAKES)
+    def test_complex_intakes_refuse_boolean_and_text(self, intake, name, valid, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in valid:
+                intake(value)
+            for value in bad:
+                with pytest.raises(TypeError, match=f"^{name} must be numeric, got dtype"):
                     intake(value)
 
     def test_wrong_shape_names_field_and_both_shapes(self):

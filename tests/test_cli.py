@@ -19,7 +19,6 @@ from quasinv.channels import (
     PAULIS,
     KrausChannel,
     UnitaryParams,
-    kraus_to_affine,
     phase_distance,
     random_channel,
     validate_cptp,
@@ -583,6 +582,29 @@ class TestZooNonFinite:
         jsonschema.validate(doc, ERROR_DOCUMENT_SCHEMA)
         assert "finite number" in doc["error"]["message"]
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+class TestPauliOverflow:
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["analyze", "-"], '{"type": "pauli", "p": [0.5, 0.5, 1e308, 1e308]}'),
+            (["zoo", "pauli", "0.5", "0.5", "1e308", "1e308"], ""),
+        ],
+        ids=["analyze", "zoo"],
+    )
+    def test_exits_2_with_only_the_error_line(self, argv, stdin):
+        # p.sum() overflowed and printed a RuntimeWarning ahead of the error line
+        env = dict(os.environ, PYTHONPATH=str(Path(quasinv.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quasinv.cli", *argv],
+            input=stdin, capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert error["code"] == "parse"
+        assert error["message"].startswith("pauli probabilities must be nonnegative and sum to 1, got [")
+        assert proc.stderr == f"error: {error['message']}\n"
 
 
 class TestTpResidualCount:

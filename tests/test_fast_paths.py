@@ -45,11 +45,13 @@ from quasinv.inverter import (
     QuasiInverseResult,
     _solve,
     build_q,
+    maximize,
 )
 from quasinv.documents import DocumentError, _as_array, _is_number
 from quasinv.metrics import _closed_form
-from quasinv.numerics import SIGN_TOL, RngStream, _real_array, eigh_desc, sample_sphere4
+from quasinv.numerics import SIGN_TOL, RngStream, _checked_array, eigh_desc, sample_sphere4
 from test_cli import CONTRACTION_BOUNDARY
+from test_golden import ZOO_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +354,20 @@ def _zoo_rotation_document(capsys):
     return capsys.readouterr().out
 
 
+def count_lapack(monkeypatch) -> list:
+    """The names of the np.linalg.eigh and eigvalsh calls made from now on, in call order."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 class TestLapackBudget:
     @pytest.mark.parametrize("which", ["kraus3", "zoo_rotation"])
     def test_two_calls_per_document(self, capsys, monkeypatch, which):
@@ -359,21 +375,32 @@ class TestLapackBudget:
             text = documents.dumps(documents.kraus_document(random_channel(RngStream(11), 3)))
         else:
             text = _zoo_rotation_document(capsys)
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
+        calls = count_lapack(monkeypatch)
         for _ in range(3):  # the count repeats exactly
             calls.clear()
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
             assert cli.main(["analyze", "-"]) == 0
             capsys.readouterr()
             assert sorted(calls) == ["eigh", "eigvalsh"]
+
+
+class TestOneEigenStep:
+    """maximize and _solve take the form's top eigenpair from one and the same eigh_desc call."""
+
+    def test_maximize_is_the_solve_in_one_eigh_call(self, monkeypatch):
+        zoo_golden = [(name, [float(x) for x in params]) for name, params, _ in ZOO_SHA256]
+        calls = count_lapack(monkeypatch)
+        solved = 0
+        for e in family_channels(zoo_golden + TIE_POINTS) + random_channels():
+            result, _ = _solve(e)
+            if result.trivial:
+                continue
+            calls.clear()
+            lam, x = maximize(build_q(e))
+            assert calls == ["eigh"]
+            assert same_float(lam, result.lambda_max) and same_bits(x, result.x)
+            solved += 1
+        assert solved > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +444,7 @@ class TestClosedForm:
         seen = 0
         for m, c in closed_form_inputs():
             for view in layouts(m):
-                stored = _real_array(view, (3, 3), "m")
+                stored = _checked_array(view, (3, 3), "m")
                 for denominator in (20.0, 12.0):
                     expected = closed_form_reference(stored, c, denominator)
                     assert same_float(_closed_form(stored, c, denominator), expected), (view.tolist(), c.tolist())

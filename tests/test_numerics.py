@@ -171,10 +171,6 @@ class TestEighDesc:
                 reference = np.linalg.eigvalsh(q)[::-1]
                 assert np.max(np.abs(w - reference)) < 1e-12
 
-    def test_rejects_complex(self):
-        with pytest.raises(TypeError, match="real"):
-            eigh_desc(np.eye(2) + 0.5j)
-
     def test_lapack_failure_raises_convergence_error(self, monkeypatch):
         def broken(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -73,6 +73,10 @@ class TestPauli:
             make(spec_from_values("pauli", [0.5, 0.5, 0.5, -0.5]))
         with pytest.raises(ValueError):
             make(spec_from_values("pauli", [0.4, 0.4, 0.4, 0.4]))
+        # the sum of two entries near 1e308 overflowed: a RuntimeWarning, an error here, came before the ValueError
+        for build in (make, channel):
+            with pytest.raises(ValueError, match="^pauli probabilities must be nonnegative and sum to 1, got "):
+                build(spec_from_values("pauli", [0.5, 0.5, 1e308, 1e308]))
 
 
 class TestGad:
