@@ -38,7 +38,8 @@ def check_bloch(r) -> np.ndarray:
     r = _checked_array(r, (3,), "Bloch vector")
     if not np.all(np.isfinite(r)):
         raise ValueError("Bloch vector has non-finite entries")
-    norm = float(np.linalg.norm(r))
+    with np.errstate(over="ignore"):  # entries beyond ~1e154 overflow to inf, which fails the bound
+        norm = float(np.linalg.norm(r))
     if not (norm <= 1.0 + BLOCH_TOL):
         raise ValueError(f"Bloch vector leaves the unit ball: |r| = {norm}")
     return r
@@ -50,8 +51,8 @@ class KrausChannel:
 
     ``operators`` is a read-only (k, 2, 2) complex copy of the input, so
     ``residual``, its TP residual computed once at construction, stays valid.
-    Real and complex numbers are accepted; booleans and text are refused
-    with a TypeError.
+    Real and complex numbers are accepted (``numerics._is_number``); booleans,
+    text and other non-numbers are refused with a TypeError.
     """
 
     operators: np.ndarray
@@ -77,7 +78,7 @@ class KrausChannel:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Apply the channel to an arbitrary 2x2 matrix."""
-        x = np.asarray(x, dtype=complex)
+        x = _checked_array(x, (2, 2), "x", complex)
         out = np.zeros((2, 2), dtype=complex)
         for op in self.operators:
             out += op @ x @ op.conj().T
@@ -199,14 +200,10 @@ def _rotation_entries(x0, x1, x2, x3):
     yield 1.0 - 2.0 * (x1 * x1 + x2 * x2)
 
 
-def rotation_matrix(u: UnitaryParams) -> np.ndarray:
-    """Rotation matrix of the conjugation rho -> V rho V^dag on Bloch vectors."""
-    return np.array(list(_rotation_entries(u.x0, *u.xvec.tolist()))).reshape(3, 3)
-
-
 def unitary_to_affine(u: UnitaryParams) -> AffineChannel:
-    """The conjugation rho -> V rho V^dag as a checked affine channel."""
-    return AffineChannel(rotation_matrix(u), np.zeros(3))
+    """The conjugation rho -> V rho V^dag as a checked affine channel: its Bloch rotation, no translation."""
+    rotation = np.array(list(_rotation_entries(u.x0, *u.xvec.tolist()))).reshape(3, 3)
+    return AffineChannel(rotation, np.zeros(3))
 
 
 def choi(e: AffineChannel) -> np.ndarray:
@@ -294,14 +291,14 @@ def random_channel(rng: RngStream, n_kraus: int) -> KrausChannel:
             k = g @ _inv_sqrt_2x2(h)
         except np.linalg.LinAlgError:
             continue
-        return KrausChannel([k[2 * i : 2 * i + 2] for i in range(n_kraus)])
+        return KrausChannel(k.reshape(n_kraus, 2, 2))
     raise RuntimeError("could not draw a non-singular Gaussian matrix")
 
 
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius distance between 2x2 matrices minimized over a global phase."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = _checked_array(a, (2, 2), "a", complex)
+    b = _checked_array(b, (2, 2), "b", complex)
     overlap = np.trace(a.conj().T @ b)
     if abs(overlap) > 0.0:
         b = b * (abs(overlap) / overlap)

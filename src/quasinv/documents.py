@@ -17,6 +17,7 @@ import numpy as np
 from .channels import AffineChannel, CptpReport, KrausChannel, kraus_to_affine
 from .inverter import QForm, QuasiInverseResult
 from .metrics import METHODS, MstdReport
+from .numerics import _checked_array
 from .oracle import VerificationReport
 from .zoo import FAMILY_TABLE, FamilySpec, channel
 
@@ -166,16 +167,9 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
-_PLAIN_NUMBERS = frozenset((int, float))
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _finite(value) -> bool:
-    """Whether a JSON value holds no NaN or infinite number at any depth."""
-    if isinstance(value, float):
+    """Whether a JSON value, or one built in Python with NumPy floats, holds no NaN or infinity at any depth."""
+    if isinstance(value, (float, np.floating)):
         return math.isfinite(value)
     if isinstance(value, (list, tuple)):
         return all(map(_finite, value))
@@ -185,19 +179,13 @@ def _finite(value) -> bool:
 
 
 def _as_array(raw, shape: tuple, message: str, name: str) -> np.ndarray:
-    """Field ``name``: nested lists or tuples of numbers (not bools) as a float array."""
-    items = [raw]
-    for n in shape:
-        if not all(isinstance(x, (list, tuple)) and len(x) == n for x in items):
-            raise DocumentError(message)
-        items = [y for x in items for y in x]
-    # exact int and float leaves pass at once; _is_number decides anything else (bools, subclasses)
-    if not set(map(type, items)) <= _PLAIN_NUMBERS and not all(map(_is_number, items)):
-        raise DocumentError(message)
+    """Field ``name`` by the one array intake as a float array; any refusal but an overflow is ``message``."""
     try:
-        return np.array(items, dtype=float).reshape(shape)
+        return _checked_array(raw, shape, name)
     except OverflowError:
         raise DocumentError(f"field {name!r} holds an integer too large for a float") from None
+    except (TypeError, ValueError):
+        raise DocumentError(message) from None
 
 
 def parse_channel_document(obj) -> ParsedChannel:
@@ -238,9 +226,7 @@ def parse_channel_document(obj) -> ParsedChannel:
             family = _FAMILY_BY_TYPE[doc_type]
             kraus = channel(FamilySpec(family.name, {name: _require(obj, name) for name in family.params}))
             affine = kraus_to_affine(kraus)
-    except DocumentError:
-        raise
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # a DocumentError too, with its message kept
         raise DocumentError(str(exc)) from exc
     return ParsedChannel(label=label, doc=obj, affine=affine, kraus=kraus)
 

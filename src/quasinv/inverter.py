@@ -81,7 +81,7 @@ def build_q(e: AffineChannel, region: str = "ball") -> QForm:
     q = [[0.0, a1, a2, a3], [a1, d1, s12, s13], [a2, s12, d2, s23], [a3, s13, s23, d3]]
     if denominator != 20.0:  # the surface: its moments scale the ball form by 20 / 12
         q = [[x * (20.0 / denominator) for x in row] for row in q]
-    return QForm(q)
+    return QForm(np.array(q))  # an array: QForm's intake then checks its dtype, not each entry
 
 
 def maximize(qf: QForm) -> tuple[float, np.ndarray]:

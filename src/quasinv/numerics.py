@@ -1,15 +1,15 @@
 """Small dense linear algebra and reproducible random sampling.
 
-Each matrix job is done once, by ``_checked_array``, ``_hermitian_part`` and
-``eigh_desc``. Eigenpairs come from LAPACK (``np.linalg.eigh``/``eigvalsh``)
-with a fixed eigenvector sign convention and a stable descending order, so
-solver outputs are reproducible to rounding across BLAS builds. The random
-number generator is counter-based (splitmix64): a given seed gives the same
-words and the same uniforms, bit for bit, on every platform and NumPy
-version. Sampled floats rest in addition on IEEE basic operations, ``sqrt``
-and NumPy's ``tan`` and ``cbrt`` loops, which NumPy picks per CPU; normals
-rest instead on its ``log1p`` loop and libm's ``cos`` and ``sin``. They are
-bit-identical wherever those give the same bytes.
+Each matrix job is done once, by ``_checked_array`` (the one intake, its number
+rule ``_is_number``), ``_hermitian_part`` and ``eigh_desc``. Eigenpairs come
+from LAPACK (``np.linalg.eigh``/``eigvalsh``) with a fixed eigenvector sign
+convention and a stable descending order, so solver outputs are reproducible to
+rounding across BLAS builds. The random number generator is counter-based
+(splitmix64): a given seed gives the same words and the same uniforms, bit for
+bit, on every platform and NumPy version. Sampled floats rest in addition on
+IEEE basic operations, ``sqrt`` and NumPy's ``tan`` and ``cbrt`` loops, which
+NumPy picks per CPU; normals rest instead on its ``log1p`` loop and libm's
+``cos`` and ``sin``. They are bit-identical wherever those give the same bytes.
 
 One sampler core (``_rows``) serves ``RngStream.normals`` and the three
 samplers. It draws a chunk in column layout: the w words of n points are
@@ -49,6 +49,9 @@ HERMITIAN_TOL = 1e-12
 MAX_BATCHES = 1 << 16
 # Generator words per point of each kind of ``_rows``.
 _WORDS = {"normals": 2, "sphere": 2, "ball": 3, "sphere4": 3}
+# What _is_number takes; the first four, the real ones, are what documents.dumps writes as numbers.
+_NUMBERS = (int, float, np.integer, np.floating, complex, np.complexfloating)
+_PLAIN = frozenset((int, float, complex, np.float64, np.complex128))  # leaf types passed as a set: no bool
 
 
 class ConvergenceError(RuntimeError):
@@ -377,16 +380,34 @@ def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([values[i] for i in order]), np.array([_signed(columns[i]) for i in order]).T
 
 
+def _is_number(value, complex_ok: bool = False) -> bool:
+    """The number rule: an int or a float, Python's or NumPy's, never a bool; complex too if ``complex_ok``."""
+    return isinstance(value, _NUMBERS if complex_ok else _NUMBERS[:4]) and not isinstance(value, bool)
+
+
 def _checked_array(value, shape: tuple | None, name: str, dtype=np.float64) -> np.ndarray:
     """The one array intake: a read-only C-ordered copy of ``value`` cast to ``dtype`` (np.float64 or complex).
 
-    Before the cast, TypeError for bool or text, and for complex when ``dtype``
-    is real; then ValueError for a shape other than ``shape``, unless None.
+    Before the cast: ValueError for ragged rows; TypeError for an array of a bool or text dtype (or complex,
+    when ``dtype`` is real) or for a leaf of other input that ``_is_number`` refuses (a 0-d array leaf by its
+    scalar); ValueError for a shape other than ``shape``, unless None.
     """
-    a = np.array(value, order="C")
     real = dtype is np.float64
-    if a.dtype.kind in ("cbUS" if real else "bUS"):
-        raise TypeError(f"{name} must be {'real' if real else 'numeric'}, got dtype {a.dtype}")
+    try:
+        a = np.array(value, order="C")
+    except ValueError:
+        raise ValueError(f"{name} must be a regular array, got ragged rows") from None
+    bad = a.dtype if a.dtype.kind in ("cbUS" if real else "bUS") else None
+    if not isinstance(value, np.ndarray) or a.dtype.kind == "O":  # leaf by leaf
+        leaves = [value]
+        for _ in range(a.ndim):
+            leaves = [x for row in leaves for x in row]
+        # plain leaf types pass as a set, the dtype check above refusing complex ones in a real intake;
+        # numpy keeps plain leaves as objects only beside an int no float holds, so those go leaf by leaf
+        if a.dtype.kind == "O" or not set(map(type, leaves)) <= _PLAIN:
+            bad = next((x.dtype for x in map(np.asarray, leaves) if not _is_number(x[()], not real)), None)
+    if bad is not None:
+        raise TypeError(f"{name} must be {'real' if real else 'numeric'}, got dtype {bad}")
     if shape is not None and a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     a = a.astype(dtype, copy=False)
@@ -416,7 +437,4 @@ def eig_sym4(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def eig_herm4(h: np.ndarray) -> np.ndarray:
     """Eigenvalues (descending) of a Hermitian 4x4 matrix; TypeError for bool or text, ValueError if not finite."""
-    h = _checked_array(h, None, "matrix", complex)
-    if h.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
-    return np.linalg.eigvalsh(_hermitian_part(h))[::-1]
+    return np.linalg.eigvalsh(_hermitian_part(_checked_array(h, (4, 4), "matrix", complex)))[::-1]

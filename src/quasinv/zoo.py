@@ -19,7 +19,6 @@ never does.
 
 from __future__ import annotations
 
-import numbers
 import reprlib
 from dataclasses import dataclass
 from typing import Callable
@@ -27,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import IDENTITY2, PAULIS, KrausChannel, UnitaryParams, unitary_matrix
+from .numerics import _is_number
 
 _PARAM_TOL = 1e-9
 # what a family builder returns: the Kraus operators and a deferred expectation
@@ -70,23 +70,23 @@ class GoldenExpectation:
 def make(spec: FamilySpec) -> tuple[KrausChannel, GoldenExpectation]:
     """Kraus realization and golden expectation of a family point; parameters must be finite."""
     ops, expectation = _build(spec)
-    return KrausChannel(ops), expectation()
+    return KrausChannel(np.array(ops)), expectation()  # stacked, the intake checks one dtype
 
 
 def channel(spec: FamilySpec) -> KrausChannel:
     """Kraus realization of a family point, without its expectation."""
-    return KrausChannel(_build(spec)[0])
+    return KrausChannel(np.array(_build(spec)[0]))
 
 
 def _build(spec: FamilySpec) -> _Built:
     """Run the family's builder on the checked parameters.
 
     Documents, hand-built specs and ``quasinv zoo`` all come through here.
-    Every parameter must first be present and be a real number (not a
-    string or a bool) that a float holds, or a list of as many such numbers
-    as it has components; then every one must be finite. A ValueError names
-    the first parameter that fails. The builder gets each scalar as a float
-    and each vector as a float array.
+    Every parameter must first be present and be a number by
+    ``numerics._is_number`` that a float holds, or a list of as many such
+    numbers as it has components; then every one must be finite. A
+    ValueError names the first parameter that fails. The builder gets each
+    scalar as a float and each vector as a float array.
     """
     family = _BY_NAME[spec.family]
     checked = {
@@ -100,7 +100,7 @@ def _build(spec: FamilySpec) -> _Built:
 
 
 def _real_values(parameters: dict, name: str, components: tuple):
-    """One parameter as a float, or its components as a float array; anything but real numbers is refused."""
+    """One parameter as a float, or its components as a float array; anything but numbers is refused."""
     if name not in parameters:
         raise ValueError(f"parameter {name!r} is missing")
     value = parameters[name]
@@ -109,10 +109,9 @@ def _real_values(parameters: dict, name: str, components: tuple):
     elif isinstance(value, (list, tuple, np.ndarray)) and len(value) == len(components):
         values = list(value)
     else:
-        rendered = ", ".join(components)
-        raise ValueError(f"parameter {name!r} needs {len(components)} components [{rendered}]")
+        raise ValueError(f"parameter {name!r} needs {len(components)} components [{', '.join(components)}]")
     for v in values:
-        if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        if not _is_number(v):
             # a document may hold a megabyte string here: echo only its start
             raise ValueError(f"parameter {name!r} must be a real number, got {reprlib.repr(v)}")
     try:

@@ -32,7 +32,7 @@ from quasinv.channels import (
 )
 from quasinv.documents import kraus_document
 from quasinv.inverter import QForm, QuasiInverseResult, quasi_inverse
-from quasinv.metrics import mstd_analytic
+from quasinv.metrics import mstd_analytic, trace_distance
 from quasinv.numerics import RngStream, ball_samples, eig_herm4, eig_sym4, sphere4_samples
 from quasinv.zoo import (
     FAMILIES,
@@ -486,6 +486,16 @@ class TestBoundsRejectNan:
     def test_nan_unitary_params_rejected(self):
         with pytest.raises(ValueError, match="unit length"):
             UnitaryParams(np.nan, [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("call", [
+        check_bloch,
+        lambda r: trace_distance(r, [0.0, 0.0, 0.0]),
+        lambda r: apply(identity_channel(), r),
+    ], ids=["check_bloch", "trace_distance", "apply"])
+    def test_overflowing_bloch_vector_is_rejected(self, call):
+        # |r|^2 overflows to inf: the bound refuses it with no overflow warning
+        with pytest.raises(ValueError, match=r"^Bloch vector leaves the unit ball: \|r\| = inf$"):
+            call([1e200, 0.0, 0.0])
 
     def test_nan_matrix_is_refused_as_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):

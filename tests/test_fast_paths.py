@@ -47,9 +47,9 @@ from quasinv.inverter import (
     build_q,
     maximize,
 )
-from quasinv.documents import DocumentError, _as_array, _is_number
+from quasinv.documents import DocumentError, _as_array
 from quasinv.metrics import _closed_form
-from quasinv.numerics import SIGN_TOL, RngStream, _checked_array, eigh_desc, sample_sphere4
+from quasinv.numerics import SIGN_TOL, RngStream, _checked_array, _is_number, eigh_desc, sample_sphere4
 from test_cli import CONTRACTION_BOUNDARY
 from test_golden import ZOO_SHA256
 
@@ -565,7 +565,7 @@ def raw_arrays():
     """(raw, shape) pairs: valid arrays, and ones with each kind of odd leaf or shape."""
     leaves = [1, -2, 0, 0.5, -0.0, 1e308, 10**20, True, False, np.float64(0.25), np.float64(np.nan),
               np.int64(3), np.float32(0.5), _Float(0.75), float("nan"), float("inf"), -float("inf"),
-              None, "0.5", [0.5], (0.5,), 10**400]
+              None, "0.5", [0.5], (0.5,), 10**400, np.bool_(True), object(), {"re": 0.5}]
     base3 = [0.1, 0.2, 0.3]
     yield base3, (3,)
     yield tuple(base3), (3,)
