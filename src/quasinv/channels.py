@@ -59,7 +59,22 @@ class KrausChannel:
     residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.operators = ops = _checked_array(self.operators, None, "operators", complex)
+        self._check(_checked_array(self.operators, None, "operators", complex))
+
+    @classmethod
+    def _of_own(cls, ops: np.ndarray) -> KrausChannel:
+        """The channel of a C-ordered complex array that no one else holds, kept as the read-only ``operators``.
+
+        Every check of the constructor runs but the intake's copy and dtype check: the caller built
+        the array from checked values (a document's, through the intake, or a conversion's).
+        """
+        ops.flags.writeable = False
+        channel = cls.__new__(cls)
+        channel._check(ops)
+        return channel
+
+    def _check(self, ops: np.ndarray) -> None:
+        self.operators = ops
         if not ops.size:
             raise ValueError("Kraus channel needs at least one operator")
         if ops.ndim != 3 or ops.shape[1:] != (2, 2):
@@ -93,8 +108,22 @@ class AffineChannel:
     c: np.ndarray
 
     def __post_init__(self):
-        self.m = m = _checked_array(self.m, (3, 3), "m")
-        self.c = c = _checked_array(self.c, (3,), "c")
+        self._check(_checked_array(self.m, (3, 3), "m"), _checked_array(self.c, (3,), "c"))
+
+    @classmethod
+    def _of_own(cls, m: np.ndarray, c: np.ndarray) -> AffineChannel:
+        """The channel of C-ordered float arrays of shape (3, 3) and (3,) that no one else holds, kept read-only.
+
+        Every check of the constructor runs but the intake's copy and dtype check: the caller built
+        the array from checked values (a document's, through the intake, or a conversion's).
+        """
+        m.flags.writeable = c.flags.writeable = False
+        channel = cls.__new__(cls)
+        channel._check(m, c)
+        return channel
+
+    def _check(self, m: np.ndarray, c: np.ndarray) -> None:
+        self.m, self.c = m, c
         rows, (c0, c1, c2) = m.tolist(), c.tolist()
         if not all(map(math.isfinite, [*rows[0], *rows[1], *rows[2], c0, c1, c2])):
             raise ValueError("affine data has non-finite entries")
@@ -129,7 +158,7 @@ def kraus_to_affine(k: KrausChannel) -> AffineChannel:
     """Affine (m, c) of a Kraus channel: m_ij = Tr(s_i E(s_j))/2, c_i = Tr(s_i E(I))/2."""
     ops = k.operators
     t = 0.5 * np.einsum("aij,kjl,blm,kim->ab", _PAULI4[1:], ops, _PAULI4, ops.conj()).real
-    return AffineChannel(t[:, 1:], t[:, 0])
+    return AffineChannel._of_own(t[:, 1:].copy(), t[:, 0].copy())
 
 
 def apply(e: AffineChannel, r) -> np.ndarray:

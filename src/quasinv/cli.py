@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -54,6 +55,18 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except BrokenPipeError:
         return EXIT_OK
+
+
+def run() -> None:
+    """Program entry of the ``quasinv`` command and of ``python -m quasinv.cli``: exits with ``main()``'s code.
+
+    Everything imported by now (numpy and quasinv, some 21,000 objects the
+    collector tracks) lives until exit, so it is frozen first: no collection
+    walks it again, those at interpreter shutdown included. ``main`` leaves
+    the collector alone for callers in their own process.
+    """
+    gc.freeze()
+    sys.exit(main())
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
@@ -284,4 +297,4 @@ def _cell(value) -> str:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

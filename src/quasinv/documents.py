@@ -214,14 +214,14 @@ def parse_channel_document(obj) -> ParsedChannel:
             arr = _as_array(raw_ops, (len(raw_ops), 2, 2, 2), message, "operators")
             with np.errstate(invalid="ignore"):  # inf * 0j is nan, which KrausChannel refuses
                 ops = arr[..., 0] + 1j * arr[..., 1]
-            kraus = KrausChannel(ops)
+            kraus = KrausChannel._of_own(ops)
             affine = kraus_to_affine(kraus)
         elif doc_type == "affine":
             message = "affine document needs a 3x3 'm' and 3-vector 'c' of numbers"
             m = _as_array(_require(obj, "m"), (3, 3), message, "m")
             c = _as_array(_require(obj, "c"), (3,), message, "c")
             kraus = None
-            affine = AffineChannel(m, c)
+            affine = AffineChannel._of_own(m, c)
         else:  # zoo checks the parameters, as it does for every FamilySpec
             family = _FAMILY_BY_TYPE[doc_type]
             kraus = channel(FamilySpec(family.name, {name: _require(obj, name) for name in family.params}))

@@ -1,4 +1,6 @@
 import argparse
+import ast
+import gc
 import hashlib
 import io
 import json
@@ -1075,3 +1077,76 @@ class TestOnePassDispatch:
         calls.clear()
         assert self.outcome(capsys, monkeypatch, ["analyze", path, "extra"])[0] == 2
         assert calls[:2] == [commands["analyze"], parser]
+
+
+def _console_script(pyproject: str) -> str:
+    """The target of ``quasinv`` in the ``[project.scripts]`` table, read as text so no TOML parser is needed."""
+    table = None
+    for line in pyproject.splitlines():
+        line = line.split("#")[0].strip()
+        if line.startswith("["):
+            table = line
+        elif table == "[project.scripts]" and line.partition("=")[0].strip() == "quasinv":
+            return line.partition("=")[2].strip().strip("'\"")
+    raise AssertionError("pyproject.toml names no quasinv console script")
+
+
+class TestProgramEntry:
+    """cli.run is the program entry of the console script and of python -m quasinv.cli: it
+    freezes the collector, then exits with main's code; main itself leaves the collector alone."""
+
+    def test_freezes_before_main_runs(self, monkeypatch):
+        events = []
+        # a spy, so the pytest process itself is never frozen
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda argv=None: events.append("main") or 7)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert events == ["freeze", "main"]
+        assert exc.value.code == 7
+
+    def test_exits_with_mains_code_and_output(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        path = write_doc(tmp_path, TRANSPOSE)
+        code, out = run_cli(capsys, "analyze", path)
+        assert code == 3
+        monkeypatch.setattr(sys, "argv", ["quasinv", "analyze", path])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == code
+        assert capsys.readouterr().out == out
+
+    def test_main_leaves_the_collector_alone(self, capsys, tmp_path):
+        path = write_doc(tmp_path, GAD)
+        before = gc.get_freeze_count()
+        for argv in (["analyze", path], ["mstd", path, "--surface"], ["zoo", "gad", "0.3", "0.2"],
+                     ["random", "--count", "2"], ["verify", path, "--samples", "10000"]):
+            assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_main_block_entry(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        module, _, function = _console_script(pyproject).partition(":")
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        blocks = [node.body for node in tree.body
+                  if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert len(blocks) == 1
+        [statement] = blocks[0]
+        assert ast.unparse(statement) == f"{function}()"
+        assert module == cli.__name__
+        assert getattr(cli, function) is cli.run
+
+    @pytest.mark.parametrize("channel, code", [(GAD, 0), (TRANSPOSE, 3)], ids=["valid", "not-cp"])
+    def test_both_entries_give_the_same_bytes(self, channel, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(quasinv.__file__).resolve().parents[1]),
+                   PYTHONDEVMODE="1", PYTHONWARNINGS="error")
+        # the first command is what the console script pip writes runs
+        outcomes = [subprocess.run([sys.executable, *entry, "analyze", "-"], input=json.dumps(channel).encode(),
+                                   capture_output=True, env=env, timeout=60)
+                    for entry in (["-c", "import sys; from quasinv.cli import run; sys.exit(run())"],
+                                  ["-m", "quasinv.cli"])]
+        script, module = ((proc.returncode, proc.stdout, proc.stderr) for proc in outcomes)
+        assert script == module
+        assert script[0] == code
+        assert script[2] == (b"" if code == 0 else b"error: channel failed the CPTP check\n")
