@@ -3,7 +3,13 @@
 Given a CPTP qubit channel, find the unitary that, applied after the
 channel, maximally decreases the mean square trace distance between
 channel input and corrected output, averaged over the Bloch ball.
+
+The random generator, the samplers (module ``sampling``) and the
+brute-force check (module ``oracle``) load on first use of one of their
+names, so that ``import quasinv.cli`` and ``analyze`` import neither.
 """
+
+import importlib
 
 from .channels import (
     AffineChannel,
@@ -24,6 +30,7 @@ from .channels import (
 from .inverter import (
     QForm,
     QuasiInverseResult,
+    VerificationReport,
     build_q,
     delta_mstd_direct,
     maximize,
@@ -37,16 +44,19 @@ from .metrics import (
     mstd_surface_analytic,
     trace_distance,
 )
-from .numerics import (
-    ConvergenceError,
-    RngStream,
-    eig_herm4,
-    eig_sym4,
-    sample_ball,
-    sample_sphere4,
-)
-from .oracle import VerificationReport, brute_force_best, verify
+from .numerics import ConvergenceError, eig_herm4, eig_sym4
 from .zoo import FamilySpec, GoldenExpectation, make
+
+# name -> module for the names and submodules that load on first use
+_LAZY = {
+    "RngStream": "sampling",
+    "sample_ball": "sampling",
+    "sample_sphere4": "sampling",
+    "brute_force_best": "oracle",
+    "verify": "oracle",
+    "oracle": "oracle",
+    "sampling": "sampling",
+}
 
 __version__ = "0.1.0"
 
@@ -90,3 +100,17 @@ __all__ = [
     "validate_cptp",
     "verify",
 ]
+
+
+def __getattr__(name: str):
+    """A name of ``_LAZY``, loaded from its module on first use (PEP 562) and kept as a module global."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY})

@@ -12,10 +12,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .numerics import RngStream, _checked_array
+from .numerics import _checked_array
+
+if TYPE_CHECKING:  # random_channel's argument; sampling loads only where a command samples
+    from .sampling import RngStream
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

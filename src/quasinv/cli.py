@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
 import os
 import sys
 
-from . import documents, oracle, zoo
+from . import documents, zoo
 from .channels import _cptp_report, random_channel
 from .documents import (
     DocumentError,
@@ -29,8 +28,7 @@ from .documents import (
 )
 from .inverter import _solve
 from .metrics import MC_MAX_SAMPLES, MC_MIN_SAMPLES, mstd_analytic, mstd_monte_carlo, mstd_surface_analytic
-from .numerics import ConvergenceError, RngStream
-from .oracle import BRUTE_FORCE_MAX_SAMPLES, BRUTE_FORCE_MIN_SAMPLES
+from .numerics import ConvergenceError
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -58,15 +56,28 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Program entry of the ``quasinv`` command and of ``python -m quasinv.cli``: exits with ``main()``'s code.
+    """Program entry of the ``quasinv`` command and of ``python -m quasinv.cli``: ends the process with ``main()``'s code.
 
-    Everything imported by now (numpy and quasinv, some 21,000 objects the
-    collector tracks) lives until exit, so it is frozen first: no collection
-    walks it again, those at interpreter shutdown included. ``main`` leaves
-    the collector alone for callers in their own process.
+    Once ``main`` returns, or argparse exits after help or a usage error,
+    stdout and stderr are flushed and ``os._exit`` ends the process at
+    once with that code: the interpreter's teardown, with its collections
+    over the ~21,000 objects NumPy and quasinv leave tracked, would only
+    free memory the exit frees anyway. A reader that closed the pipe makes
+    the flush raise BrokenPipeError, which is dropped, as ``main`` drops
+    one from a write. ``main(argv)`` itself never exits but through
+    argparse, so a test, a service or a benchmark can call it in its own
+    process.
     """
-    gc.freeze()
-    sys.exit(main())
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's exit: 0 after help, 2 after a usage error
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            pass
+    os._exit(code)
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
@@ -76,60 +87,85 @@ def _parse_args(argv: list) -> argparse.Namespace:
     name, is parsed again by the full parser, so every help text, usage
     line, error message and exit code is argparse's own.
     """
-    parser, commands = _build_parser()
-    if argv and argv[0] in commands:
-        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _parser(argv[0]).parse_known_args(argv[1:])
         if not extras:
             return args
-    return parser.parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The full parser, and each subcommand's own parser by name."""
+def _parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with a subcommand's name that subcommand's own; each is built once per process.
+
+    Both apply the builders of ``_COMMANDS``: the full parser each one to
+    its ``add_parser``, a subcommand's own parser one of them to a parser
+    named as ``add_parser`` would name it.
+    """
+    if name is not None:
+        parser = argparse.ArgumentParser(prog=f"quasinv {name}")
+        _COMMANDS[name][1](parser)
+        return parser
     parser = argparse.ArgumentParser(
         prog="quasinv",
         description="Unitary quasi-inverses of single-qubit channels "
         "by mean-square trace-distance maximization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, build) in _COMMANDS.items():
+        build(sub.add_parser(command, help=help_text))
+    return parser
 
-    p_analyze = sub.add_parser("analyze", help="full pipeline: validate, MSTD, quasi-inverse")
-    p_analyze.add_argument("path", help="channel document file, or - for stdin")
-    _add_format(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
 
-    p_mstd = sub.add_parser("mstd", help="mean square trace distance of a channel")
-    p_mstd.add_argument("path", help="channel document file, or - for stdin")
-    p_mstd.add_argument("--monte-carlo", type=int, metavar="N", default=None,
-                        help="estimate from N samples instead of the closed form")
-    p_mstd.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p_mstd.add_argument("--surface", action="store_true",
-                        help="average over the ball surface (pure states) instead of the ball")
-    _add_format(p_mstd)
-    p_mstd.set_defaults(func=cmd_mstd)
+def _analyze_args(p) -> None:
+    p.add_argument("path", help="channel document file, or - for stdin")
+    _add_format(p)
+    p.set_defaults(func=cmd_analyze)
 
-    p_zoo = sub.add_parser("zoo", help="emit a named channel family as a kraus document")
-    p_zoo.add_argument("family", choices=sorted(zoo.FAMILIES))
+
+def _mstd_args(p) -> None:
+    p.add_argument("path", help="channel document file, or - for stdin")
+    p.add_argument("--monte-carlo", type=int, metavar="N", default=None,
+                   help="estimate from N samples instead of the closed form")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    p.add_argument("--surface", action="store_true",
+                   help="average over the ball surface (pure states) instead of the ball")
+    _add_format(p)
+    p.set_defaults(func=cmd_mstd)
+
+
+def _zoo_args(p) -> None:
+    p.add_argument("family", choices=sorted(zoo.FAMILIES))
     usage = (f"{family.name}: {' '.join(family.arg_names)}" for family in zoo.FAMILY_TABLE)
-    p_zoo.add_argument("params", type=float, nargs="+", help=" | ".join(usage))
-    p_zoo.add_argument("--label", default=None, help="override the document label")
-    p_zoo.set_defaults(func=cmd_zoo)
+    p.add_argument("params", type=float, nargs="+", help=" | ".join(usage))
+    p.add_argument("--label", default=None, help="override the document label")
+    p.set_defaults(func=cmd_zoo)
 
-    p_random = sub.add_parser("random", help="stream reproducible random CPTP channels")
-    p_random.add_argument("--count", type=int, default=1, metavar="N")
-    p_random.add_argument("--seed", type=int, default=0)
-    p_random.add_argument("--kraus", type=int, default=4, metavar="K",
-                          help="number of Kraus operators, 1..4 (default 4)")
-    p_random.set_defaults(func=cmd_random)
 
-    p_verify = sub.add_parser("verify", help="brute-force check of the solver result")
-    p_verify.add_argument("path", help="channel document file, or - for stdin")
-    p_verify.add_argument("--samples", type=int, default=100_000, metavar="N")
-    p_verify.add_argument("--seed", type=int, default=0)
-    _add_format(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-    return parser, sub.choices
+def _random_args(p) -> None:
+    p.add_argument("--count", type=int, default=1, metavar="N")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kraus", type=int, default=4, metavar="K",
+                   help="number of Kraus operators, 1..4 (default 4)")
+    p.set_defaults(func=cmd_random)
+
+
+def _verify_args(p) -> None:
+    p.add_argument("path", help="channel document file, or - for stdin")
+    p.add_argument("--samples", type=int, default=100_000, metavar="N")
+    p.add_argument("--seed", type=int, default=0)
+    _add_format(p)
+    p.set_defaults(func=cmd_verify)
+
+
+# each subcommand's help line and argument builder, in the order the full parser lists them
+_COMMANDS = {
+    "analyze": ("full pipeline: validate, MSTD, quasi-inverse", _analyze_args),
+    "mstd": ("mean square trace distance of a channel", _mstd_args),
+    "zoo": ("emit a named channel family as a kraus document", _zoo_args),
+    "random": ("stream reproducible random CPTP channels", _random_args),
+    "verify": ("brute-force check of the solver result", _verify_args),
+}
 
 
 def _add_format(sub_parser) -> None:
@@ -195,6 +231,8 @@ def cmd_mstd(args) -> int:
     if _validated(parsed, args.format) is None:
         return EXIT_CPTP
     if args.monte_carlo is not None:
+        from .sampling import RngStream  # the sampling commands alone load the generator
+
         region = "surface" if args.surface else "ball"
         mstd = mstd_monte_carlo(
             parsed.affine, args.monte_carlo, RngStream(args.seed), region, workers=_cpus()
@@ -221,6 +259,8 @@ def cmd_zoo(args) -> int:
 
 
 def cmd_random(args) -> int:
+    from .sampling import RngStream
+
     if args.count < 1:
         raise DocumentError(f"--count must be at least 1, got {args.count}")
     _check_range("--kraus", args.kraus, 1, 4)
@@ -233,7 +273,10 @@ def cmd_random(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_range("--samples", args.samples, BRUTE_FORCE_MIN_SAMPLES, BRUTE_FORCE_MAX_SAMPLES)
+    from . import oracle
+    from .sampling import RngStream
+
+    _check_range("--samples", args.samples, oracle.BRUTE_FORCE_MIN_SAMPLES, oracle.BRUTE_FORCE_MAX_SAMPLES)
     parsed = _read_document(args.path)
     if _validated(parsed, args.format) is None:
         return EXIT_CPTP

@@ -15,10 +15,9 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .channels import AffineChannel, CptpReport, KrausChannel, kraus_to_affine
-from .inverter import QForm, QuasiInverseResult
+from .inverter import QForm, QuasiInverseResult, VerificationReport
 from .metrics import METHODS, MstdReport
 from .numerics import _checked_array
-from .oracle import VerificationReport
 from .zoo import FAMILY_TABLE, FamilySpec, channel
 
 _FAMILY_BY_TYPE = {family.doc_type: family for family in FAMILY_TABLE}

@@ -63,6 +63,18 @@ class QuasiInverseResult:
     degenerate: bool
 
 
+@dataclass
+class VerificationReport:
+    """Outcome of sampling for unitaries that beat a solver result."""
+
+    channel_id: str
+    solver_delta: float
+    best_sampled_delta: float
+    n_samples: int
+    max_violation: float
+    passed: bool
+
+
 def build_q(e: AffineChannel, region: str = "ball") -> QForm:
     """Quadratic form of the MSTD decrease for a channel.
 

@@ -15,11 +15,15 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channels import AffineChannel, _rotation_entries, check_bloch
-from .numerics import MAX_BATCHES, RngStream, _draw_batches
+from .numerics import MAX_BATCHES
+
+if TYPE_CHECKING:
+    from .sampling import RngStream
 
 MC_MIN_SAMPLES = 1000
 _MC_BATCH = 32768
@@ -110,7 +114,7 @@ def mstd_monte_carlo(
 ) -> MstdReport:
     """Monte Carlo MSTD estimate from n samples of the chosen region.
 
-    ``numerics._draw_batches`` draws the samples in 32,768-point batches,
+    ``sampling._draw_batches`` draws the samples in 32,768-point batches,
     each one chunk, so the result depends only on (seed, n, region) and is
     identical for any worker count. For a batch P (3, k),
     Y = P - (M P + c) goes on the spent rows. The squared distances
@@ -118,6 +122,8 @@ def mstd_monte_carlo(
     on row y0 and their squares go to row y1; both sums run over the whole
     batch.
     """
+    from .sampling import _draw_batches  # imported by the first call: analyze never loads the samplers
+
     n = operator.index(n)
     _, kind, method = _region(region)
     m, c = e.m, e.c[:, None]

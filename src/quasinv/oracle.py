@@ -12,14 +12,13 @@ so agreement is meaningful evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import AffineChannel, _rotation_entries
-from .inverter import QuasiInverseResult
+from .inverter import QuasiInverseResult, VerificationReport
 from .metrics import _mstd_after_rotation, mstd_analytic
-from .numerics import MAX_BATCHES, RngStream, _draw_batches
+from .numerics import MAX_BATCHES
+from .sampling import RngStream, _draw_batches
 
 BRUTE_FORCE_MIN_SAMPLES = 10_000
 _BATCH = 65536
@@ -39,18 +38,6 @@ _POLISH_MAX_ROUNDS = 200
 
 # (x0, x) = e_i, the identity and the Pauli axes; -e_i would give bitwise the same rotation and trace
 _CANONICAL = np.eye(4)
-
-
-@dataclass
-class VerificationReport:
-    """Outcome of sampling for unitaries that beat a solver result."""
-
-    channel_id: str
-    solver_delta: float
-    best_sampled_delta: float
-    n_samples: int
-    max_violation: float
-    passed: bool
 
 
 def _traces(xs: np.ndarray, mt: list) -> np.ndarray:
@@ -105,7 +92,7 @@ def brute_force_best(
 ) -> tuple[np.ndarray, float]:
     """Best (x, delta) over n random unit 4-vectors plus the 4 axis candidates, refined.
 
-    ``numerics._draw_batches`` draws the samples in 65,536-point batches
+    ``sampling._draw_batches`` draws the samples in 65,536-point batches
     of 16,384-point chunks, so the result is independent of the worker
     count. The axes and samples are ranked by ``_traces``, the first
     maximum winning as in one argmax over all; only it is evaluated by

@@ -22,8 +22,9 @@ from quasinv.channels import (
 )
 from quasinv.inverter import build_q, delta_mstd_direct, maximize, quasi_inverse
 from quasinv.metrics import mstd_analytic, mstd_monte_carlo
-from quasinv.numerics import RngStream, eig_sym4, sphere4_samples
+from quasinv.numerics import eig_sym4
 from quasinv.oracle import brute_force_best
+from quasinv.sampling import RngStream, sphere4_samples
 from quasinv.zoo import make, spec_from_values
 
 

@@ -33,7 +33,8 @@ from quasinv.channels import (
 from quasinv.documents import kraus_document
 from quasinv.inverter import QForm, QuasiInverseResult, quasi_inverse
 from quasinv.metrics import mstd_analytic, trace_distance
-from quasinv.numerics import RngStream, ball_samples, eig_herm4, eig_sym4, sphere4_samples
+from quasinv.numerics import eig_herm4, eig_sym4
+from quasinv.sampling import RngStream, ball_samples, sphere4_samples
 from quasinv.zoo import (
     FAMILIES,
     GoldenExpectation,

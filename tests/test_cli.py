@@ -1,6 +1,5 @@
 import argparse
 import ast
-import gc
 import hashlib
 import io
 import json
@@ -35,9 +34,9 @@ from quasinv.documents import (
     kraus_document,
     parse_channel_document,
 )
-from quasinv.numerics import RngStream, sample_sphere4
 from quasinv.metrics import MC_MAX_SAMPLES, MC_MIN_SAMPLES
 from quasinv.oracle import BRUTE_FORCE_MAX_SAMPLES, BRUTE_FORCE_MIN_SAMPLES, VerificationReport
+from quasinv.sampling import RngStream, sample_sphere4
 
 
 def run_cli(capsys, *argv):
@@ -308,7 +307,7 @@ class TestVerify:
             max_violation=0.1,
             passed=False,
         )
-        monkeypatch.setattr(cli.oracle, "verify", lambda *a, **kw: failed)
+        monkeypatch.setattr(quasinv.oracle, "verify", lambda *a, **kw: failed)
         path = write_doc(tmp_path, {"type": "pauli", "p": [0.1, 0.6, 0.2, 0.1]})
         code, out = run_cli(capsys, "verify", path, "--samples", "10000")
         assert code == 4
@@ -745,7 +744,7 @@ class TestMonteCarloAndVerifyWorkers:
 
         monkeypatch.setattr(cli, "_cpus", lambda: 3)
         monkeypatch.setattr(cli, "mstd_monte_carlo", spy(cli.mstd_monte_carlo))
-        monkeypatch.setattr(cli.oracle, "verify", spy(cli.oracle.verify))
+        monkeypatch.setattr(quasinv.oracle, "verify", spy(quasinv.oracle.verify))
         path = write_doc(tmp_path, {"type": "gad", "gamma": -0.4, "p": 0.3})
         assert run_cli(capsys, "mstd", path, "--monte-carlo", "1000")[0] == 0
         assert run_cli(capsys, "verify", path, "--samples", "10000")[0] == 0
@@ -924,7 +923,7 @@ class TestNonFiniteEchoedField:
         "value", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "[0.5, {\"a\": NaN}]"]
     )
     def test_parse_error(self, capsys, monkeypatch, fmt, command, value):
-        monkeypatch.setattr(cli.oracle, "verify", lambda *a, **kw: pytest.fail("verify ran"))
+        monkeypatch.setattr(quasinv.oracle, "verify", lambda *a, **kw: pytest.fail("verify ran"))
         text = '{"type": "pauli", "p": [0.1, 0.6, 0.2, 0.1], "note": ' + value + "}"
         code, out, err = run_text(capsys, monkeypatch, [*COMMANDS[command], "-", "--format", fmt], text)
         assert_parse_error(code, out, err)
@@ -982,6 +981,9 @@ ARGV_MATRIX = [
     ["analyze", "-h"],
     ["analyze", "{path}", "-h"],
     ["zoo", "--help"],
+    ["mstd", "-h"],
+    ["random", "-h"],
+    ["verify", "--help"],
     ["-h", "analyze"],
     # unknown, abbreviated or missing commands and positionals
     ["ana", "{path}"],
@@ -1031,8 +1033,7 @@ class TestOnePassDispatch:
 
     @staticmethod
     def two_pass(monkeypatch):
-        parser, _ = cli._build_parser()
-        monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+        monkeypatch.setattr(cli, "_parse_args", cli._parser().parse_args)
 
     @pytest.mark.parametrize("argv", ARGV_MATRIX, ids=" ".join)
     def test_same_outcome(self, capsys, monkeypatch, path, argv):
@@ -1059,7 +1060,7 @@ class TestOnePassDispatch:
             assert self.outcome(capsys, patch, None) == expected
 
     def test_subcommand_parsed_once(self, capsys, monkeypatch, path):
-        parser, commands = cli._build_parser()
+        parser = cli._parser()
         calls = []
         original = argparse.ArgumentParser.parse_known_args
 
@@ -1072,11 +1073,17 @@ class TestOnePassDispatch:
                            ("random", ["random", "--count", "1"]), ("mstd", ["mstd", path, "--surface"])]:
             calls.clear()
             assert self.outcome(capsys, monkeypatch, argv)[0] == 0
-            assert calls == [commands[name]], name
+            assert calls == [cli._parser(name)], name
         # left-over arguments go to the full parser, which reports them
         calls.clear()
         assert self.outcome(capsys, monkeypatch, ["analyze", path, "extra"])[0] == 2
-        assert calls[:2] == [commands["analyze"], parser]
+        assert calls[:2] == [cli._parser("analyze"), parser]
+
+    def test_each_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+        for name in cli._COMMANDS:
+            assert cli._parser(name) is cli._parser(name)
+            assert cli._parser(name).prog == f"quasinv {name}"
 
 
 def _console_script(pyproject: str) -> str:
@@ -1091,39 +1098,90 @@ def _console_script(pyproject: str) -> str:
     raise AssertionError("pyproject.toml names no quasinv console script")
 
 
+class _Exited(Exception):
+    """Raised by the ``os._exit`` spy, so the pytest process itself never hard-exits."""
+
+
+class _Stream(io.StringIO):
+    """A text stream that logs its flushes; with ``closed_pipe`` each flush raises BrokenPipeError."""
+
+    def __init__(self, name, events, closed_pipe=False):
+        super().__init__()
+        self.name, self.events, self.closed_pipe = name, events, closed_pipe
+
+    def flush(self):
+        self.events.append(("flush", self.name))
+        if self.closed_pipe:
+            raise BrokenPipeError
+
+
+ENTRY_CASES = [(GAD, 0), ({"type": "no_such_type"}, 2), (TRANSPOSE, 3)]
+ENTRY_IDS = ["valid", "parse-error", "not-cp"]
+
+
+def entry_env() -> dict:
+    """The environment of a child process that imports this checkout's quasinv."""
+    return dict(os.environ, PYTHONPATH=str(Path(quasinv.__file__).resolve().parents[1]))
+
+
+# the console script's route (what the script pip writes runs) and python -m
+ENTRIES = [["-c", "import sys; from quasinv.cli import run; sys.exit(run())"], ["-m", "quasinv.cli"]]
+
+
 class TestProgramEntry:
-    """cli.run is the program entry of the console script and of python -m quasinv.cli: it
-    freezes the collector, then exits with main's code; main itself leaves the collector alone."""
+    """cli.run is the program entry of the console script and of python -m quasinv.cli: it runs
+    main, flushes stdout and stderr, then ends the process by os._exit with main's code, or with
+    argparse's after help or a usage error; main itself returns its code and never exits but
+    through argparse."""
 
-    def test_freezes_before_main_runs(self, monkeypatch):
+    @staticmethod
+    def run_entry(monkeypatch, argv, closed_pipe=False):
+        """(events, stdout, stderr) of cli.run on the command line ``argv``, with os._exit spied on."""
         events = []
-        # a spy, so the pytest process itself is never frozen
-        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
-        monkeypatch.setattr(cli, "main", lambda argv=None: events.append("main") or 7)
-        with pytest.raises(SystemExit) as exc:
-            cli.run()
-        assert events == ["freeze", "main"]
-        assert exc.value.code == 7
+        out, err = _Stream("stdout", events, closed_pipe), _Stream("stderr", events)
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        monkeypatch.setattr(sys, "argv", ["quasinv", *argv])
 
-    def test_exits_with_mains_code_and_output(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(gc, "freeze", lambda: None)
-        path = write_doc(tmp_path, TRANSPOSE)
-        code, out = run_cli(capsys, "analyze", path)
-        assert code == 3
-        monkeypatch.setattr(sys, "argv", ["quasinv", "analyze", path])
-        with pytest.raises(SystemExit) as exc:
+        def exit_spy(code):
+            events.append(("exit", code))
+            raise _Exited
+
+        monkeypatch.setattr(os, "_exit", exit_spy)
+        with pytest.raises(_Exited):
             cli.run()
+        return events, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("closed_pipe", [False, True], ids=["open", "closed-pipe"])
+    @pytest.mark.parametrize("channel, code", ENTRY_CASES, ids=ENTRY_IDS)
+    def test_flushes_then_exits_with_mains_code(self, capsys, monkeypatch, tmp_path, channel, code, closed_pipe):
+        # with closed_pipe the stdout flush raises BrokenPipeError, as for a reader that closed the pipe
+        path = write_doc(tmp_path, channel)
+        assert cli.main(["analyze", path]) == code
+        expected = capsys.readouterr()
+        events, out, err = self.run_entry(monkeypatch, ["analyze", path], closed_pipe)
+        assert events == [("flush", "stdout"), ("flush", "stderr"), ("exit", code)]
+        assert (out, err) == (expected.out, expected.err)
+
+    @pytest.mark.parametrize("closed_pipe", [False, True], ids=["open", "closed-pipe"])
+    @pytest.mark.parametrize("argv, code", [(["-h"], 0), (["analyze", "-h"], 0), (["analyze"], 2)],
+                             ids=["help", "command-help", "usage-error"])
+    def test_argparse_exits_end_the_same_way(self, capsys, monkeypatch, argv, code, closed_pipe):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
         assert exc.value.code == code
-        assert capsys.readouterr().out == out
+        expected = capsys.readouterr()
+        events, out, err = self.run_entry(monkeypatch, argv, closed_pipe)
+        assert events == [("flush", "stdout"), ("flush", "stderr"), ("exit", code)]
+        assert (out, err) == (expected.out, expected.err)
 
-    def test_main_leaves_the_collector_alone(self, capsys, tmp_path):
+    def test_main_never_exits(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("main called os._exit"))
         path = write_doc(tmp_path, GAD)
-        before = gc.get_freeze_count()
         for argv in (["analyze", path], ["mstd", path, "--surface"], ["zoo", "gad", "0.3", "0.2"],
                      ["random", "--count", "2"], ["verify", path, "--samples", "10000"]):
             assert cli.main(argv) == 0, argv
         capsys.readouterr()
-        assert gc.get_freeze_count() == before
 
     def test_console_script_is_the_main_block_entry(self):
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
@@ -1137,16 +1195,90 @@ class TestProgramEntry:
         assert module == cli.__name__
         assert getattr(cli, function) is cli.run
 
-    @pytest.mark.parametrize("channel, code", [(GAD, 0), (TRANSPOSE, 3)], ids=["valid", "not-cp"])
-    def test_both_entries_give_the_same_bytes(self, channel, code):
-        env = dict(os.environ, PYTHONPATH=str(Path(quasinv.__file__).resolve().parents[1]),
-                   PYTHONDEVMODE="1", PYTHONWARNINGS="error")
-        # the first command is what the console script pip writes runs
+    @pytest.mark.parametrize("channel, code", ENTRY_CASES, ids=ENTRY_IDS)
+    def test_both_entries_give_the_same_bytes(self, capsys, monkeypatch, channel, code):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(channel)))
+        assert cli.main(["analyze", "-"]) == code
+        expected = capsys.readouterr()
+        env = dict(entry_env(), PYTHONDEVMODE="1", PYTHONWARNINGS="error")
         outcomes = [subprocess.run([sys.executable, *entry, "analyze", "-"], input=json.dumps(channel).encode(),
                                    capture_output=True, env=env, timeout=60)
-                    for entry in (["-c", "import sys; from quasinv.cli import run; sys.exit(run())"],
-                                  ["-m", "quasinv.cli"])]
+                    for entry in ENTRIES]
         script, module = ((proc.returncode, proc.stdout, proc.stderr) for proc in outcomes)
-        assert script == module
-        assert script[0] == code
-        assert script[2] == (b"" if code == 0 else b"error: channel failed the CPTP check\n")
+        assert script == module == (code, expected.out.encode(), expected.err.encode())
+
+
+class TestClosedPipeProcess:
+    """A process whose stdout is a pipe its reader already closed exits 0 with nothing on stderr,
+    buffered or not: output lost to a closed pipe is not an error."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["analyze", "{path}"], ["random", "--count", "20000"], ["analyze", "-h"]],
+                             ids=["analyze", "random", "help"])
+    @pytest.mark.parametrize("entry", ENTRIES, ids=["console-script", "module"])
+    def test_exits_0_with_empty_stderr(self, tmp_path, entry, argv, unbuffered):
+        argv = [arg.replace("{path}", write_doc(tmp_path, GAD)) for arg in argv]
+        env = entry_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, *entry, *argv], stdin=subprocess.DEVNULL, stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr.decode()) == (0, "")
+
+
+class TestImportGraph:
+    """analyze loads neither the brute-force check nor the samplers; every public name still resolves."""
+
+    @staticmethod
+    def run_python(code: str) -> str:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=entry_env(), timeout=60)
+        assert (proc.returncode, proc.stderr.decode()) == (0, "")
+        return proc.stdout.decode()
+
+    def test_analyze_loads_neither_oracle_nor_sampling(self, tmp_path):
+        path = write_doc(tmp_path, GAD)
+        out = self.run_python(
+            "import contextlib, io, json, sys\n"
+            "import quasinv.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main(['analyze', {path!r}])\n"
+            "print(json.dumps([code, sorted(sys.modules), cli._parser.cache_info().currsize]))\n"
+        )
+        code, modules, parsers = json.loads(out)
+        assert code == 0
+        assert "quasinv.oracle" not in modules
+        assert "quasinv.sampling" not in modules
+        assert parsers == 1  # analyze's own parser, not the full one
+
+    def test_public_names_resolve(self):
+        out = self.run_python(
+            "import sys\n"
+            "import quasinv\n"
+            "lazy = [m for m in ('quasinv.oracle', 'quasinv.sampling') if m in sys.modules]\n"
+            "names = set(quasinv.__all__)\n"
+            "assert names <= set(dir(quasinv)), names - set(dir(quasinv))\n"
+            "star = {}\n"
+            "exec('from quasinv import *', star)\n"
+            "assert set(star) - {'__builtins__'} == names\n"
+            "assert all(star[name] is getattr(quasinv, name) for name in names)\n"
+            "assert quasinv.oracle is sys.modules['quasinv.oracle']\n"
+            "assert quasinv.sampling is sys.modules['quasinv.sampling']\n"
+            "assert quasinv.verify is quasinv.oracle.verify\n"
+            "assert quasinv.RngStream is quasinv.sampling.RngStream\n"
+            "assert quasinv.VerificationReport is quasinv.oracle.VerificationReport\n"
+            "import quasinv.cli\n"
+            "# the attributes a tracer reads after import quasinv, quasinv.cli\n"
+            "for name in ('cli', 'documents', 'channels', 'inverter', 'metrics', 'oracle', 'RngStream',\n"
+            "             'mstd_monte_carlo'):\n"
+            "    getattr(quasinv, name)\n"
+            "print(lazy)\n"
+        )
+        assert out == "[]\n"
+        with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+            quasinv.nosuch

@@ -49,7 +49,8 @@ from quasinv.inverter import (
 )
 from quasinv.documents import DocumentError, _as_array
 from quasinv.metrics import _closed_form
-from quasinv.numerics import SIGN_TOL, RngStream, _checked_array, _is_number, eigh_desc, sample_sphere4
+from quasinv.numerics import SIGN_TOL, _checked_array, _is_number, eigh_desc
+from quasinv.sampling import RngStream, sample_sphere4
 from test_cli import CONTRACTION_BOUNDARY
 from test_golden import ZOO_SHA256
 

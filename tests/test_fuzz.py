@@ -24,7 +24,7 @@ import pytest
 import quasinv
 import quasinv.cli as cli
 from quasinv.documents import ERROR_DOCUMENT_SCHEMA, MSTD_DOCUMENT_SCHEMA, RESULT_DOCUMENT_SCHEMA
-from quasinv.numerics import RngStream
+from quasinv.sampling import RngStream
 
 _AMPLITUDE_DAMPING = [
     [[[1, 0], [0, 0]], [[0, 0], [0.8, 0]]],

@@ -10,7 +10,10 @@ never its digest, so a re-pin keeps the ids.
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,7 @@ import quasinv.cli as cli
 from quasinv import documents
 from quasinv.channels import random_channel
 from quasinv.documents import CHANNEL_DOCUMENT_SCHEMA, CHANNEL_TYPES, dumps, kraus_document
-from quasinv.numerics import RngStream, ball_samples, sphere4_samples, sphere_samples
+from quasinv.sampling import RngStream, ball_samples, sphere4_samples, sphere_samples
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -197,6 +200,15 @@ class TestSampledGolden:
         code, out = run_cli(capsys, monkeypatch, argv, stdin=document)
         assert code == 0
         assert sha256(out) == digest
+
+    @pytest.mark.parametrize("argv,document,digest", SAMPLED_SHA256, ids=SAMPLED_NAMES)
+    def test_cli_bytes_in_a_fresh_process(self, argv, document, digest):
+        # python -m quasinv.cli loads the samplers and the brute-force check only when the command runs
+        env = dict(os.environ, PYTHONPATH=str(Path(quasinv.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "quasinv.cli", *argv], input=document.encode(),
+                              capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
     @pytest.mark.parametrize("draw,digest", SAMPLER_SHA256, ids=["ball", "sphere", "sphere4", "normals"])
     def test_sampler_bytes(self, draw, digest):

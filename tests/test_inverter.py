@@ -19,7 +19,7 @@ from quasinv.inverter import (
     maximize,
     quasi_inverse,
 )
-from quasinv.numerics import RngStream, sphere4_samples
+from quasinv.sampling import RngStream, sphere4_samples
 from quasinv.zoo import make, spec_from_values
 
 PROB_GRID = [

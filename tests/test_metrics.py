@@ -18,7 +18,7 @@ from quasinv.metrics import (
     mstd_surface_analytic,
     trace_distance,
 )
-from quasinv.numerics import RngStream, ball_samples, sphere4_samples
+from quasinv.sampling import RngStream, ball_samples, sphere4_samples
 from quasinv.zoo import make, spec_from_values
 
 DEPOLARIZING = AffineChannel(np.zeros((3, 3)), np.zeros(3))
@@ -188,7 +188,7 @@ class TestMonteCarlo:
 
 def whole_batch_monte_carlo(e, n, seed, region):
     """mstd_monte_carlo written with one draw and one einsum per 32,768-point batch."""
-    from quasinv.numerics import sphere_samples, substream
+    from quasinv.sampling import sphere_samples, substream
 
     sampler = ball_samples if region == "ball" else sphere_samples
     base = RngStream(seed).u64()
@@ -247,17 +247,17 @@ class TestChunkedMonteCarlo:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_workspace_per_worker(self, monkeypatch, workers):
-        from quasinv import numerics
+        from quasinv import sampling
 
         e = kraus_to_affine(random_channel(RngStream(732), 3))
         made = []
-        workspace = numerics._workspace
+        workspace = sampling._workspace
 
         def counted(n, kind):
             made.append((n, kind))
             return workspace(n, kind)
 
-        monkeypatch.setattr(numerics, "_workspace", counted)
+        monkeypatch.setattr(sampling, "_workspace", counted)
         mstd_monte_carlo(e, 8 * 32_768, RngStream(48), region="surface", workers=workers)
         assert 1 <= len(made) <= workers
         assert set(made) == {(32_768, "sphere")}
@@ -318,7 +318,7 @@ class TestRowLayoutArithmetic:
 
 
 def _folded_angle(u):
-    """The angle 2 pi u folded into [-pi/2, pi/2] as ``numerics._circle`` folds it."""
+    """The angle 2 pi u folded into [-pi/2, pi/2] as ``sampling._circle`` folds it."""
     a = 0.5 - u
     return (a - np.copysign(0.25, a)) * (2.0 * np.pi)
 
@@ -326,7 +326,7 @@ def _folded_angle(u):
 class TestColumnLayoutArithmetic:
     """The facts of this build that let the column layout give the plain formulas' bytes.
 
-    ``numerics._rows`` applies each elementwise function to contiguous rows
+    ``sampling._rows`` applies each elementwise function to contiguous rows
     (w, n), where the plain formulas in ``test_samplers`` apply it to
     strided columns of row-major (n, w) uniforms. Each function gets the
     arguments the samplers give it.

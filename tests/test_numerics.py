@@ -5,12 +5,14 @@ import pytest
 
 from quasinv.numerics import (
     ConvergenceError,
-    RngStream,
     _signed,
-    ball_samples,
     eig_herm4,
     eig_sym4,
     eigh_desc,
+)
+from quasinv.sampling import (
+    RngStream,
+    ball_samples,
     sample_ball,
     sample_sphere4,
     sphere4_samples,

@@ -11,8 +11,8 @@ from quasinv.channels import (
     unitary_to_affine,
 )
 from quasinv.inverter import delta_mstd_direct, quasi_inverse
-from quasinv.numerics import RngStream, sphere4_samples
 from quasinv.oracle import brute_force_best, verify
+from quasinv.sampling import RngStream, sphere4_samples
 from quasinv.zoo import make, spec_from_values
 
 
@@ -188,7 +188,7 @@ def record_starts(monkeypatch):
 def test_trace_ranking_finds_the_best_sample(monkeypatch):
     # ranking by the trace loses nothing against evaluating every sample through the stack route
     from quasinv.metrics import mstd_analytic
-    from quasinv.numerics import substream
+    from quasinv.sampling import substream
     from quasinv.oracle import _CANONICAL
 
     starts = record_starts(monkeypatch)
@@ -205,7 +205,7 @@ def test_trace_ranking_finds_the_best_sample(monkeypatch):
 def whole_batch_search(e, n, seed):
     """brute_force_best's sampled best, written with one draw and one trace argmax per 65,536-row batch."""
     from quasinv.metrics import _mstd_after_rotation, mstd_analytic
-    from quasinv.numerics import substream
+    from quasinv.sampling import substream
     from quasinv.oracle import _CANONICAL
 
     t = traces(e, _CANONICAL)
@@ -244,17 +244,17 @@ class TestChunkedSearch:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_workspace_per_worker(self, monkeypatch, workers):
-        from quasinv import numerics
+        from quasinv import sampling
 
         e = kraus_to_affine(random_channel(RngStream(711), 2))
         made = []
-        workspace = numerics._workspace
+        workspace = sampling._workspace
 
         def counted(n, kind):
             made.append((n, kind))
             return workspace(n, kind)
 
-        monkeypatch.setattr(numerics, "_workspace", counted)
+        monkeypatch.setattr(sampling, "_workspace", counted)
         brute_force_best(e, 8 * 65_536, RngStream(12), workers=workers)
         assert 1 <= len(made) <= workers
         assert set(made) == {(16_384, "sphere4")}

@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 from quasinv import kraus_to_affine, make, mstd_monte_carlo, oracle, quasi_inverse
-from quasinv.numerics import (
-    MAX_BATCHES,
+from quasinv.numerics import MAX_BATCHES
+from quasinv.metrics import MC_MAX_SAMPLES, MC_MIN_SAMPLES
+from quasinv.oracle import BRUTE_FORCE_MAX_SAMPLES, BRUTE_FORCE_MIN_SAMPLES, brute_force_best
+from quasinv.sampling import (
     RngStream,
     _draw_batches,
     ball_samples,
@@ -27,8 +29,6 @@ from quasinv.numerics import (
     sphere_samples,
     substream,
 )
-from quasinv.metrics import MC_MAX_SAMPLES, MC_MIN_SAMPLES
-from quasinv.oracle import BRUTE_FORCE_MAX_SAMPLES, BRUTE_FORCE_MIN_SAMPLES, brute_force_best
 from quasinv.zoo import spec_from_values
 
 MASK = 2**64 - 1
@@ -283,7 +283,7 @@ class TestColumnWords:
     @pytest.mark.parametrize("kind,w", [("normals", 2), ("sphere", 2), ("ball", 3), ("sphere4", 3)])
     @pytest.mark.parametrize("n", [1, 7, 4096, 16385])
     def test_uniform_rows_are_the_stream_read_by_columns(self, kind, w, n):
-        from quasinv.numerics import _uniform_rows, _workspace
+        from quasinv.sampling import _uniform_rows, _workspace
 
         rng, ref = RngStream(2**64 - 1), RngStream(2**64 - 1)
         rng.uniforms(1234)

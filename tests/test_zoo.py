@@ -10,8 +10,8 @@ from quasinv.channels import (
     validate_cptp,
 )
 from quasinv.inverter import delta_mstd_direct, quasi_inverse
-from quasinv.numerics import RngStream
 from quasinv.oracle import brute_force_best
+from quasinv.sampling import RngStream
 from quasinv.zoo import (
     FAMILY_TABLE,
     FamilySpec,
