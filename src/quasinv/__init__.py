@@ -47,7 +47,7 @@ from .metrics import (
 from .numerics import ConvergenceError, eig_herm4, eig_sym4
 from .zoo import FamilySpec, GoldenExpectation, make
 
-# name -> module for the names and submodules that load on first use
+# name -> the module it loads from on first use ("oracle" is that module itself)
 _LAZY = {
     "RngStream": "sampling",
     "sample_ball": "sampling",
@@ -55,7 +55,6 @@ _LAZY = {
     "brute_force_best": "oracle",
     "verify": "oracle",
     "oracle": "oracle",
-    "sampling": "sampling",
 }
 
 __version__ = "0.1.0"
@@ -110,7 +109,3 @@ def __getattr__(name: str):
     value = module if name == _LAZY[name] else getattr(module, name)
     globals()[name] = value
     return value
-
-
-def __dir__() -> list:
-    return sorted({*globals(), *_LAZY})

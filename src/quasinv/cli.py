@@ -5,13 +5,15 @@ single JSON objects read from a file path or standard input ("-"); all
 results go to standard output as JSON (default) or a plain table, with
 diagnostics on standard error.
 
-Exit codes: 0 success, 1 internal numeric failure, 2 parse/parameter
-error, 3 CPTP validation failure, 4 verification failure.
+Exit codes: 0 success, 1 internal numeric failure or output that could
+not be written, 2 parse/parameter error, 3 CPTP validation failure,
+4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -32,6 +34,7 @@ from .numerics import ConvergenceError
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
+EXIT_OUTPUT = 1  # the output could not be written
 EXIT_PARSE = 2
 EXIT_CPTP = 3
 EXIT_VERIFY = 4
@@ -63,8 +66,11 @@ def run() -> None:
     once with that code: the interpreter's teardown, with its collections
     over the ~21,000 objects NumPy and quasinv leave tracked, would only
     free memory the exit frees anyway. A reader that closed the pipe makes
-    the flush raise BrokenPipeError, which is dropped, as ``main`` drops
-    one from a write. ``main(argv)`` itself never exits but through
+    the stdout flush raise BrokenPipeError, which is dropped, as ``main``
+    drops one from a write. Any other failure to flush stdout (a full disk,
+    an I/O error) leaves the output incomplete: one ``error:`` line goes to
+    stderr and the exit code is 1. A failed stderr flush has nowhere to be
+    reported and is dropped. ``main(argv)`` itself never exits but through
     argparse, so a test, a service or a benchmark can call it in its own
     process.
     """
@@ -72,11 +78,16 @@ def run() -> None:
         code = main()
     except SystemExit as exc:  # argparse's exit: 0 after help, 2 after a usage error
         code = exc.code
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            stream.flush()
-        except BrokenPipeError:
-            pass
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        pass
+    except OSError as exc:
+        code = EXIT_OUTPUT
+        with contextlib.suppress(OSError):
+            print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
     os._exit(code)
 
 
