@@ -1136,11 +1136,10 @@ class TestProgramEntry:
     through argparse."""
 
     @staticmethod
-    def run_entry(monkeypatch, argv, closed_pipe=False, flush_error=None):
+    def run_entry(monkeypatch, argv, flush_error=None):
         """(events, stdout, stderr) of cli.run on the command line ``argv``, with os._exit spied on."""
         events = []
-        out = _Stream("stdout", events, BrokenPipeError() if closed_pipe else flush_error)
-        err = _Stream("stderr", events)
+        out, err = _Stream("stdout", events, flush_error), _Stream("stderr", events)
         monkeypatch.setattr(sys, "stdout", out)
         monkeypatch.setattr(sys, "stderr", err)
         monkeypatch.setattr(sys, "argv", ["quasinv", *argv])
@@ -1161,7 +1160,7 @@ class TestProgramEntry:
         path = write_doc(tmp_path, channel)
         assert cli.main(["analyze", path]) == code
         expected = capsys.readouterr()
-        events, out, err = self.run_entry(monkeypatch, ["analyze", path], closed_pipe)
+        events, out, err = self.run_entry(monkeypatch, ["analyze", path], BrokenPipeError() if closed_pipe else None)
         assert events == [("flush", "stdout"), ("flush", "stderr"), ("exit", code)]
         assert (out, err) == (expected.out, expected.err)
 
@@ -1173,7 +1172,7 @@ class TestProgramEntry:
             cli.main(argv)
         assert exc.value.code == code
         expected = capsys.readouterr()
-        events, out, err = self.run_entry(monkeypatch, argv, closed_pipe)
+        events, out, err = self.run_entry(monkeypatch, argv, BrokenPipeError() if closed_pipe else None)
         assert events == [("flush", "stdout"), ("flush", "stderr"), ("exit", code)]
         assert (out, err) == (expected.out, expected.err)
 
