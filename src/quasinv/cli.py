@@ -43,19 +43,22 @@ EXIT_VERIFY = 4
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
-    except DocumentError as exc:
-        _emit_error("parse", str(exc))
-        return EXIT_PARSE
-    except ConvergenceError as exc:
-        _emit_error("numeric", str(exc))
-        return EXIT_NUMERIC
-    except RecursionError:
-        # json.loads of the input, or the echo of its input field in dumps or a table
-        _emit_error("parse", "document is nested too deeply")
-        return EXIT_PARSE
+        try:
+            return args.func(args)
+        except DocumentError as exc:
+            _emit_error("parse", str(exc))
+            return EXIT_PARSE
+        except ConvergenceError as exc:
+            _emit_error("numeric", str(exc))
+            return EXIT_NUMERIC
+        except RecursionError:
+            # json.loads of the input, or the echo of its input field in dumps or a table
+            _emit_error("parse", "document is nested too deeply")
+            return EXIT_PARSE
     except BrokenPipeError:
         return EXIT_OK
+    except _OutputError as exc:
+        return _output_failed(exc.__cause__)
 
 
 def run() -> None:
@@ -69,10 +72,10 @@ def run() -> None:
     the stdout flush raise BrokenPipeError, which is dropped, as ``main``
     drops one from a write. Any other failure to flush stdout (a full disk,
     an I/O error) leaves the output incomplete: one ``error:`` line goes to
-    stderr and the exit code is 1. A failed stderr flush has nowhere to be
-    reported and is dropped. ``main(argv)`` itself never exits but through
-    argparse, so a test, a service or a benchmark can call it in its own
-    process.
+    stderr and the exit code is 1, as ``main`` reports a failed write. A
+    failed stderr flush has nowhere to be reported and is dropped.
+    ``main(argv)`` itself never exits but through argparse, so a test, a
+    service or a benchmark can call it in its own process.
     """
     try:
         code = main()
@@ -83,15 +86,58 @@ def run() -> None:
     except BrokenPipeError:
         pass
     except OSError as exc:
-        code = EXIT_OUTPUT
-        with contextlib.suppress(OSError):
-            print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        code = _output_failed(exc)
     with contextlib.suppress(OSError):
         sys.stderr.flush()
     os._exit(code)
 
 
+class _OutputError(Exception):
+    """stdout refused a write for a reason other than a closed pipe; the OSError is its ``__cause__``."""
+
+
+def _print(text: str) -> None:
+    """The one write to stdout: ``text`` and a newline.
+
+    A closed pipe's BrokenPipeError passes as it is; any other OSError (a
+    full disk, an I/O error) becomes an _OutputError, which ``main``
+    reports as an output failure. Whether a write or the final flush
+    fails depends only on the buffering, so both end the same way.
+    """
+    try:
+        print(text)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _OutputError from exc
+
+
+def _output_failed(exc: OSError) -> int:
+    """Report output lost to ``exc`` with one ``error:`` line on stderr; returns EXIT_OUTPUT."""
+    with contextlib.suppress(OSError):
+        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_OUTPUT
+
+
 def _parse_args(argv: list) -> argparse.Namespace:
+    """The parsed command line, as a Namespace of its own; each distinct argv is parsed once per process.
+
+    The last ``_PARSED_MAX`` successful parses are kept: a repeated argv
+    gets a fresh copy of its Namespace (its lists copied too), so a caller
+    that changes one changes no later call's. Help, usage errors and their
+    exit raise SystemExit, which is never kept, so they repeat on every
+    call.
+    """
+    args = _parse(tuple(argv))
+    return argparse.Namespace(**{k: v[:] if type(v) is list else v for k, v in vars(args).items()})
+
+
+# command lines whose parse _parse_args keeps; a warm caller repeats a few, a one-shot process has one
+_PARSED_MAX = 64
+
+
+@functools.lru_cache(maxsize=_PARSED_MAX)
+def _parse(argv: tuple) -> argparse.Namespace:
     """The parsed command line; a named subcommand goes through its own parser only.
 
     Anything that parser leaves over, and any argv not led by a subcommand
@@ -184,11 +230,26 @@ def _add_format(sub_parser) -> None:
 
 
 def _emit_error(code: str, message: str) -> None:
+    _report_failure({"error": {"code": code, "message": message}}, "json", message)
+
+
+def _report_failure(doc: dict, fmt: str, message: str) -> None:
+    """Print a failed command's document to stdout, then ``error: message`` to stderr.
+
+    The stderr line goes out also when stdout did not take the document, as
+    it does when only the final flush fails: after a closed pipe, which is
+    dropped, and before the _OutputError of a stdout that refused it.
+    """
+    refused = None
     try:
-        print(dumps({"error": {"code": code, "message": message}}, indent=2))
+        _print_doc(doc, fmt)
     except BrokenPipeError:
         pass
+    except _OutputError as exc:
+        refused = exc
     print(f"error: {message}", file=sys.stderr)
+    if refused is not None:
+        raise refused
 
 
 def _read_document(path: str) -> ParsedChannel:
@@ -220,8 +281,7 @@ def _validated(parsed: ParsedChannel, fmt: str) -> dict | None:
     doc = documents.validated_document(parsed, report)
     if report.passed:
         return doc
-    _print_doc(doc, fmt)
-    print("error: channel failed the CPTP check", file=sys.stderr)
+    _report_failure(doc, fmt, "channel failed the CPTP check")
     return None
 
 
@@ -265,7 +325,7 @@ def cmd_zoo(args) -> int:
     if label is None:
         rendered = ", ".join(f"{p:g}" for p in args.params)
         label = f"{args.family}({rendered})"
-    print(dumps(kraus_document(kraus, label), indent=2))
+    _print(dumps(kraus_document(kraus, label), indent=2))
     return EXIT_OK
 
 
@@ -279,7 +339,7 @@ def cmd_random(args) -> int:
     for index in range(args.count):
         channel = random_channel(rng, args.kraus)
         label = f"random(seed={args.seed}, index={index}, kraus={args.kraus})"
-        print(dumps(kraus_document(channel, label)))
+        _print(dumps(kraus_document(channel, label)))
     return EXIT_OK
 
 
@@ -321,10 +381,7 @@ def _cpus() -> int:
 
 
 def _print_doc(doc: dict, fmt: str) -> None:
-    if fmt == "table":
-        print(_as_table(doc))
-    else:
-        print(dumps(doc, indent=2))
+    _print(_as_table(doc) if fmt == "table" else dumps(doc, indent=2))
 
 
 def _as_table(doc: dict, prefix: str = "") -> str:

@@ -26,7 +26,7 @@ from .channels import (
     validate_cptp,
 )
 from .metrics import _closed_form, _mstd_after_rotation, _region, mstd_analytic, mstd_composed
-from .numerics import HERMITIAN_TOL, _checked_array, eigh_desc
+from .numerics import HERMITIAN_TOL, _checked_array, _eigh_lists
 
 TRIVIAL_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
@@ -41,8 +41,23 @@ class QForm:
     q: np.ndarray
 
     def __post_init__(self):
-        self.q = _checked_array(self.q, (4, 4), "q")
-        rows = self.q.tolist()
+        q = _checked_array(self.q, (4, 4), "q")
+        self._check(q, q.tolist())
+
+    @classmethod
+    def _of_own(cls, q: np.ndarray, rows: list) -> QForm:
+        """The form of a C-ordered (4, 4) float array that no one else holds, kept read-only; ``rows`` is q.tolist().
+
+        Every check of the constructor runs, on ``rows``, but the intake's copy and dtype check: the
+        caller built both from the same Python floats.
+        """
+        q.flags.writeable = False
+        form = cls.__new__(cls)
+        form._check(q, rows)
+        return form
+
+    def _check(self, q: np.ndarray, rows: list) -> None:
+        self.q = q
         # eig_sym4's elementwise |q - q^T| <= HERMITIAN_TOL in Python floats, on the upper triangle: the
         # same decision, since |a - b| is |b - a| and a diagonal entry passes exactly when it is finite
         if not all([abs(rows[i][j] - rows[j][i]) <= HERMITIAN_TOL for i, j in _UPPER_TRIANGLE]):
@@ -93,7 +108,7 @@ def build_q(e: AffineChannel, region: str = "ball") -> QForm:
     q = [[0.0, a1, a2, a3], [a1, d1, s12, s13], [a2, s12, d2, s23], [a3, s13, s23, d3]]
     if denominator != 20.0:  # the surface: its moments scale the ball form by 20 / 12
         q = [[x * (20.0 / denominator) for x in row] for row in q]
-    return QForm(np.array(q))  # an array: QForm's intake then checks its dtype, not each entry
+    return QForm._of_own(np.array(q), q)
 
 
 def maximize(qf: QForm) -> tuple[float, np.ndarray]:
@@ -101,10 +116,10 @@ def maximize(qf: QForm) -> tuple[float, np.ndarray]:
 
     Because the (0, 0) entry vanishes, the maximum over the unit sphere is
     never below zero (up to roundoff). QForm checked the form once: this is
-    the one ``eigh_desc(qf.q)`` call ``_solve`` makes too.
+    the one ``_eigh_lists(qf.q)`` call ``_solve`` makes too.
     """
-    w, v = eigh_desc(qf.q)
-    return float(w[0]), v[:, 0]
+    values, vectors = _eigh_lists(qf.q)
+    return values[0], np.array(vectors[0])
 
 
 def delta_mstd_direct(e: AffineChannel, u: UnitaryParams) -> float:
@@ -137,24 +152,24 @@ def quasi_inverse(e: AffineChannel) -> QuasiInverseResult:
 
 
 def _solve(e: AffineChannel) -> tuple[QuasiInverseResult, QForm]:
-    """quasi_inverse without the CPTP check, plus the form it maximized."""
+    """quasi_inverse without the CPTP check, plus the form it maximized.
+
+    The eigenpairs stay Python floats from LAPACK's output to the result:
+    only ``x`` becomes an array, once.
+    """
     qf = build_q(e)
-    w, v = eigh_desc(qf.q)  # build_q's form is finite and exactly symmetric
-    lam = float(w[0])
-    degenerate = bool(w[0] - w[1] < DEGENERACY_TOL)
+    values, vectors = _eigh_lists(qf.q)  # build_q's form is finite and exactly symmetric
+    lam = values[0]
     trivial = lam <= TRIVIAL_TOL
-    x = np.array([1.0, 0.0, 0.0, 0.0]) if trivial else v[:, 0]
-    xs = x.tolist()  # unit length: e0, or an eigenvector LAPACK normalized
-    before = _closed_form(e.m, e.c, 20.0)  # mstd_analytic(e).value
-    after = _mstd_after_rotation(xs, e)
+    xs = [1.0, 0.0, 0.0, 0.0] if trivial else vectors[0]  # unit length: e0, or an eigenvector LAPACK normalized
     result = QuasiInverseResult(
-        x=x,
+        x=np.array(xs),
         unitary=_unitary(*xs),
         lambda_max=lam,
         delta_mstd=0.4 * max(lam, 0.0),
-        mstd_before=before,
-        mstd_after=after,
+        mstd_before=_closed_form(e.m, e.c, 20.0),  # mstd_analytic(e).value
+        mstd_after=_mstd_after_rotation(xs, e),
         trivial=trivial,
-        degenerate=degenerate,
+        degenerate=values[0] - values[1] < DEGENERACY_TOL,
     )
     return result, qf

@@ -1,11 +1,13 @@
 """Small dense linear algebra and the one array intake.
 
 Each matrix job is done once, by ``_checked_array`` (the one intake, its number
-rule ``_is_number``), ``_hermitian_part`` and ``eigh_desc``. Eigenpairs come
+rule ``_is_number``), ``_hermitian_part`` and ``_eigh_lists``. Eigenpairs come
 from LAPACK (``np.linalg.eigh``/``eigvalsh``) with a fixed eigenvector sign
 convention and a stable descending order, so solver outputs are reproducible to
-rounding across BLAS builds. The random number generator and the samplers are
-in ``sampling``, which ``analyze`` never imports.
+rounding across BLAS builds. ``_eigh_lists`` hands them over as Python floats,
+which the solver uses as they are; ``eigh_desc`` gives the same as arrays. The
+random number generator and the samplers are in ``sampling``, which ``analyze``
+never imports.
 """
 
 from __future__ import annotations
@@ -41,14 +43,15 @@ def _signed(column: list) -> list:
     return column
 
 
-def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix by LAPACK (``np.linalg.eigh``).
+def _eigh_lists(a: np.ndarray) -> tuple[list, list]:
+    """Eigenpairs of a real symmetric matrix by LAPACK (``np.linalg.eigh``), as Python floats.
 
-    Returns (eigenvalues descending, eigenvector columns) under the sign
-    convention. The descending sort is stable, so equal eigenvalues keep
-    LAPACK's column order. A LAPACK failure raises ConvergenceError
-    carrying the off-diagonal norm of the input. Its callers pass a checked
-    float64 array, so it does no cast or dtype check of its own.
+    Returns (eigenvalues descending, eigenvectors), eigenvector ``k`` the
+    list ``vectors[k]`` under the sign convention. The descending sort is
+    stable, so equal eigenvalues keep LAPACK's column order. A LAPACK
+    failure raises ConvergenceError carrying the off-diagonal norm of the
+    input. Its callers pass a checked float64 array, so it does no cast or
+    dtype check of its own.
     """
     try:
         w, v = np.linalg.eigh(a)
@@ -57,7 +60,13 @@ def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # sorted() keeps equal eigenvalues in LAPACK's order under reverse=True too
     values, columns = w.tolist(), v.T.tolist()
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-    return np.array([values[i] for i in order]), np.array([_signed(columns[i]) for i in order]).T
+    return [values[i] for i in order], [_signed(columns[i]) for i in order]
+
+
+def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_eigh_lists`` as arrays: (eigenvalues descending, eigenvector columns)."""
+    values, vectors = _eigh_lists(a)
+    return np.array(values), np.array(vectors).T
 
 
 def _is_number(value, complex_ok: bool = False) -> bool:

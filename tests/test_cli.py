@@ -1061,6 +1061,7 @@ class TestOnePassDispatch:
             assert self.outcome(capsys, patch, None) == expected
 
     def test_subcommand_parsed_once(self, capsys, monkeypatch, path):
+        cli._parse.cache_clear()  # an argv another test ran is not parsed again
         parser = cli._parser()
         calls = []
         original = argparse.ArgumentParser.parse_known_args
@@ -1087,6 +1088,80 @@ class TestOnePassDispatch:
             assert cli._parser(name).prog == f"quasinv {name}"
 
 
+class TestParseOnce:
+    """main parses each distinct command line once per process: a repeated argv reaches no parser, yet
+    every call gets a Namespace of its own, and help and usage errors are never kept."""
+
+    @staticmethod
+    def count_parses(monkeypatch) -> list:
+        calls = []
+        for method in ("parse_known_args", "parse_args"):
+            original = getattr(argparse.ArgumentParser, method)
+
+            def counting(self, *args, _original=original, **kwargs):
+                calls.append(self)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(argparse.ArgumentParser, method, counting)
+        return calls
+
+    def test_repeated_argv_reaches_no_parser(self, capsys, monkeypatch, tmp_path):
+        path = write_doc(tmp_path, GAD)
+        cli._parse.cache_clear()
+        calls = self.count_parses(monkeypatch)
+        outcomes = []
+        for _ in range(3):
+            outcomes.append((cli.main(["analyze", path, "--format", "table"]), capsys.readouterr()))
+        assert calls == [cli._parser("analyze")]
+        assert outcomes[0][0] == 0 and outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_each_call_gets_its_own_namespace(self):
+        argv = ["zoo", "gad", "0.3", "0.2", "--label", "x"]
+        expected = {"family": "gad", "params": [0.3, 0.2], "label": "x", "func": cli.cmd_zoo}
+        first = cli._parse_args(argv)
+        assert vars(first) == expected
+        first.label = "changed"
+        first.params.append(0.9)
+        first.extra = 1
+        second = cli._parse_args(list(argv))
+        assert second is not first
+        assert vars(second) == expected
+
+    @pytest.mark.parametrize("argv, code", [(["analyze"], 2), (["analyze", "-", "extra"], 2), (["-h"], 0),
+                                            (["zoo", "-h"], 0)],
+                             ids=["usage-error", "extra-argument", "help", "command-help"])
+    def test_argparse_exits_repeat(self, capsys, monkeypatch, argv, code):
+        calls = self.count_parses(monkeypatch)
+        outcomes = []
+        for _ in range(3):
+            calls.clear()
+            with pytest.raises(SystemExit) as exc:
+                cli.main(list(argv))
+            captured = capsys.readouterr()
+            outcomes.append((exc.value.code, captured.out, captured.err))
+            assert calls, "a help or usage exit must reach argparse on every call"
+        assert outcomes[0][0] == code and outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0][1 if code == 0 else 2].startswith("usage: ")
+
+    def test_argv_none_reads_the_current_sys_argv(self, capsys, monkeypatch, tmp_path):
+        path = write_doc(tmp_path, GAD)
+        runs = []
+        for argv in (["analyze", path], ["analyze", path, "--format", "table"], ["analyze", path]):
+            monkeypatch.setattr(sys, "argv", ["quasinv", *argv])
+            assert cli.main() == 0
+            runs.append(capsys.readouterr().out)
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == runs[-1]
+        assert runs[0] == runs[2] != runs[1]
+        assert runs[1].startswith("input.type: gad\n")
+
+    def test_kept_parses_are_bounded(self):
+        cli._parse.cache_clear()
+        for count in range(2 * cli._PARSED_MAX):
+            assert cli._parse_args(["random", "--count", str(count + 1)]).count == count + 1
+        assert cli._parse.cache_info().currsize == cli._PARSED_MAX
+
+
 def _console_script(pyproject: str) -> str:
     """The target of ``quasinv`` in the ``[project.scripts]`` table, read as text so no TOML parser is needed."""
     table = None
@@ -1104,11 +1179,16 @@ class _Exited(Exception):
 
 
 class _Stream(io.StringIO):
-    """A text stream that logs its flushes; with ``flush_error`` each flush raises it."""
+    """A text stream that logs its flushes; each flush raises ``flush_error``, each write ``write_error``, if set."""
 
-    def __init__(self, name, events, flush_error=None):
+    def __init__(self, name, events, flush_error=None, write_error=None):
         super().__init__()
-        self.name, self.events, self.flush_error = name, events, flush_error
+        self.name, self.events, self.flush_error, self.write_error = name, events, flush_error, write_error
+
+    def write(self, text):
+        if self.write_error is not None:
+            raise self.write_error
+        return super().write(text)
 
     def flush(self):
         self.events.append(("flush", self.name))
@@ -1136,10 +1216,10 @@ class TestProgramEntry:
     through argparse."""
 
     @staticmethod
-    def run_entry(monkeypatch, argv, flush_error=None):
+    def run_entry(monkeypatch, argv, flush_error=None, write_error=None):
         """(events, stdout, stderr) of cli.run on the command line ``argv``, with os._exit spied on."""
         events = []
-        out, err = _Stream("stdout", events, flush_error), _Stream("stderr", events)
+        out, err = _Stream("stdout", events, flush_error, write_error), _Stream("stderr", events)
         monkeypatch.setattr(sys, "stdout", out)
         monkeypatch.setattr(sys, "stderr", err)
         monkeypatch.setattr(sys, "argv", ["quasinv", *argv])
@@ -1188,13 +1268,37 @@ class TestProgramEntry:
         assert out == expected.out
         assert err == expected.err + "error: cannot write the output: No space left on device\n"
 
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"), BrokenPipeError()],
+                             ids=["full-disk", "closed-pipe"])
+    @pytest.mark.parametrize("channel, code", ENTRY_CASES, ids=ENTRY_IDS)
+    def test_failed_write_ends_as_a_failed_flush(self, capsys, monkeypatch, tmp_path, channel, code, error):
+        # an unbuffered stdout refuses the write itself, a buffered one only the flush: same code, same stderr
+        path = write_doc(tmp_path, channel)
+        assert cli.main(["analyze", path]) == code
+        expected = capsys.readouterr()
+        events, out, err = self.run_entry(monkeypatch, ["analyze", path], write_error=error)
+        buffered = self.run_entry(monkeypatch, ["analyze", path], flush_error=error)
+        assert (out, buffered[1]) == ("", expected.out)
+        assert (events, err) == (buffered[0], buffered[2])
+        if isinstance(error, BrokenPipeError):
+            assert (events[-1], err) == (("exit", code), expected.err)
+        else:
+            full = "error: cannot write the output: No space left on device\n"
+            assert (events[-1], err) == (("exit", 1), expected.err + full)
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("argv", [["analyze", "{path}"], ["random", "--count", "2000"]], ids=["analyze", "random"])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("entry", ENTRIES, ids=["console-script", "module"])
-    def test_full_disk_process_exits_1_with_one_error_line(self, tmp_path, entry):
+    def test_full_disk_process_exits_1_with_one_error_line(self, tmp_path, entry, unbuffered, argv):
+        # unbuffered, the first write fails; buffered, analyze's flush or a write once random fills the buffer
+        argv = [arg.replace("{path}", write_doc(tmp_path, GAD)) for arg in argv]
         env = entry_env()
         env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "wb") as full:
-            proc = subprocess.run([sys.executable, *entry, "analyze", write_doc(tmp_path, GAD)],
+            proc = subprocess.run([sys.executable, *entry, *argv],
                                   stdin=subprocess.DEVNULL, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
         assert (proc.returncode, proc.stderr) == (1, b"error: cannot write the output: No space left on device\n")
 

@@ -3,12 +3,14 @@
 ``build_q``, ``eigh_desc``'s order and signs, the closed-form MSTD,
 ``unitary_matrix``, the unit-length check of ``UnitaryParams``, the
 symmetry check of ``QForm``, the number check of document arrays and
-``AffineChannel``'s contraction check work on Python values. The
-references below are the numpy expressions they replaced; every value
-must match them bit for bit, signed zeros included, and every accept or
-reject decision (with its message) must be the one the reference makes.
-An analyzed document costs two LAPACK calls: the Choi spectrum and the
-eigenpairs of the 4x4 form.
+``AffineChannel``'s contraction check work on Python values, and
+``_solve`` and ``maximize`` take the eigenpairs as Python floats from
+``_eigh_lists``, with one array made for ``x``. The references below are
+the numpy expressions they replaced; every value must match them bit for
+bit, signed zeros included, and every accept or reject decision (with
+its message) must be the one the reference makes. An analyzed document
+costs two LAPACK calls: the Choi spectrum and the eigenpairs of the 4x4
+form.
 """
 
 import io
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 import quasinv.cli as cli
+import quasinv.inverter as inverter
 from quasinv import documents, zoo
 from quasinv.channels import (
     BLOCH_TOL,
@@ -233,6 +236,15 @@ class TestBitwisePins:
             for region in ("ball", "surface"):
                 assert same_bits(build_q(e, region).q, build_q_reference(e, region))
 
+    def test_build_q_form(self, channels):
+        # build_q hands its own array to QForm._of_own: read-only, C-ordered and the intake's form to the bit
+        for e in channels:
+            for region in ("ball", "surface"):
+                qf, expected = build_q(e, region), QForm(build_q_reference(e, region))
+                assert type(qf) is QForm
+                assert not qf.q.flags.writeable and qf.q.flags.c_contiguous
+                assert same_bits(qf.q, expected.q)
+
     def test_eigen_order_and_signs(self, channels):
         for e in channels:
             q = build_q_reference(e)
@@ -404,6 +416,20 @@ class TestOneEigenStep:
         assert solved > 1000
 
 
+class TestSolveNames:
+    """_solve reaches build_q and LAPACK's eigh by name, so a patch or a per-layer tracer of either sees each call."""
+
+    def test_patched_names_are_called(self, monkeypatch):
+        seen = []
+        original_build_q, original_eigh = inverter.build_q, np.linalg.eigh
+        monkeypatch.setattr(inverter, "build_q", lambda e: seen.append("build_q") or original_build_q(e))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append("eigh") or original_eigh(a))
+        for e in random_channels(4):
+            seen.clear()
+            _solve(e)
+            assert seen == ["build_q", "eigh"]
+
+
 # ---------------------------------------------------------------------------
 # closed form, unitary matrix, unit-length and symmetry checks, document arrays
 # ---------------------------------------------------------------------------
@@ -553,6 +579,17 @@ class TestQFormDecision:
             assert got == symmetric_reference(q), q.tolist()
             seen[got] += 1
         assert seen[True] > 500 and seen[False] > 500
+
+    def test_of_own_same_decisions(self):
+        # build_q's route: the check runs on the rows it already has, with the constructor's decision
+        for q in q_inputs():
+            try:
+                QForm._of_own(q.copy(), q.tolist())
+                got = True
+            except ValueError as exc:
+                assert str(exc) == "quadratic form must be symmetric"
+                got = False
+            assert got == symmetric_reference(q), q.tolist()
 
 
 class _Float(float):
