@@ -7,7 +7,10 @@ diagnostics on standard error.
 
 Exit codes: 0 success, 1 internal numeric failure or output that could
 not be written, 2 parse/parameter error, 3 CPTP validation failure,
-4 verification failure.
+4 verification failure. Every byte, help and usage text included, goes
+out through ``_write``, which never raises: a closed pipe keeps the
+code, any other refused stdout write or flush gives one ``error:`` line
+and exit 1, and a refused stderr write is dropped.
 """
 
 from __future__ import annotations
@@ -41,24 +44,19 @@ EXIT_VERIFY = 4
 
 
 def main(argv=None) -> int:
+    global _refused
+    _refused = None
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        try:
-            return args.func(args)
-        except DocumentError as exc:
-            _emit_error("parse", str(exc))
-            return EXIT_PARSE
-        except ConvergenceError as exc:
-            _emit_error("numeric", str(exc))
-            return EXIT_NUMERIC
-        except RecursionError:
-            # json.loads of the input, or the echo of its input field in dumps or a table
-            _emit_error("parse", "document is nested too deeply")
-            return EXIT_PARSE
-    except BrokenPipeError:
-        return EXIT_OK
-    except _OutputError as exc:
-        return _output_failed(exc.__cause__)
+        return _exit_code(args.func(args))
+    except DocumentError as exc:
+        code, kind, message = EXIT_PARSE, "parse", str(exc)
+    except ConvergenceError as exc:
+        code, kind, message = EXIT_NUMERIC, "numeric", str(exc)
+    except RecursionError:  # json.loads of the input, or the echo of its input field in dumps or a table
+        code, kind, message = EXIT_PARSE, "parse", "document is nested too deeply"
+    _report_failure({"error": {"code": kind, "message": message}}, "json", message)
+    return _exit_code(code)
 
 
 def run() -> None:
@@ -68,55 +66,64 @@ def run() -> None:
     stdout and stderr are flushed and ``os._exit`` ends the process at
     once with that code: the interpreter's teardown, with its collections
     over the ~21,000 objects NumPy and quasinv leave tracked, would only
-    free memory the exit frees anyway. A reader that closed the pipe makes
-    the stdout flush raise BrokenPipeError, which is dropped, as ``main``
-    drops one from a write. Any other failure to flush stdout (a full disk,
-    an I/O error) leaves the output incomplete: one ``error:`` line goes to
-    stderr and the exit code is 1, as ``main`` reports a failed write. A
-    failed stderr flush has nowhere to be reported and is dropped.
-    ``main(argv)`` itself never exits but through argparse, so a test, a
-    service or a benchmark can call it in its own process.
+    free memory the exit frees anyway. Help, usage and every other write
+    follow ``_write``'s rules; a refused stdout flush ends as a refused
+    write unless one was refused already, and a refused stderr flush is
+    dropped. ``main(argv)`` itself never exits but through argparse, so a
+    test, a service or a benchmark can call it in its own process.
     """
+    global _refused
     try:
         code = main()
     except SystemExit as exc:  # argparse's exit: 0 after help, 2 after a usage error
-        code = exc.code
+        code = _exit_code(exc.code)
     try:
         sys.stdout.flush()
-    except BrokenPipeError:
-        pass
     except OSError as exc:
-        code = _output_failed(exc)
+        if _refused is None:  # else a refused write left this in the buffer and is reported already
+            _refused = exc
+            code = _exit_code(code)
     with contextlib.suppress(OSError):
         sys.stderr.flush()
     os._exit(code)
 
 
-class _OutputError(Exception):
-    """stdout refused a write for a reason other than a closed pipe; the OSError is its ``__cause__``."""
+# the first OSError of a stdout write in the current call of main; None while stdout takes every write
+_refused = None
 
 
-def _print(text: str) -> None:
-    """The one write to stdout: ``text`` and a newline.
+def _write(text: str, file=None) -> None:
+    """Write ``text`` to ``file``, stdout if None, and never raise: the one writer of every byte the CLI emits.
 
-    A closed pipe's BrokenPipeError passes as it is; any other OSError (a
-    full disk, an I/O error) becomes an _OutputError, which ``main``
-    reports as an output failure. Whether a write or the final flush
-    fails depends only on the buffering, so both end the same way.
+    The first OSError of a stdout write is kept in ``_refused`` for
+    ``_exit_code``, and stdout gets nothing more until ``main`` starts
+    again. A refused stderr write is dropped. Both streams are looked up at
+    call time.
     """
-    try:
-        print(text)
-    except BrokenPipeError:
-        raise
-    except OSError as exc:
-        raise _OutputError from exc
+    global _refused
+    if file is not None and file is not sys.stdout:
+        with contextlib.suppress(OSError):
+            file.write(text)
+    elif _refused is None:
+        try:
+            sys.stdout.write(text)
+        except OSError as exc:
+            _refused = exc
 
 
-def _output_failed(exc: OSError) -> int:
-    """Report output lost to ``exc`` with one ``error:`` line on stderr; returns EXIT_OUTPUT."""
-    with contextlib.suppress(OSError):
-        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+def _exit_code(code: int) -> int:
+    """``code``, or EXIT_OUTPUT with one ``error:`` line if stdout refused a write other than to a closed pipe."""
+    if _refused is None or isinstance(_refused, BrokenPipeError):
+        return code
+    _write(f"error: cannot write the output: {_refused.strerror or _refused}\n", sys.stderr)
     return EXIT_OUTPUT
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help and usage text go through ``_write``, as every other byte does."""
+
+    def _print_message(self, message, file=None):
+        _write(message, file or sys.stderr)
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
@@ -160,10 +167,10 @@ def _parser(name: str | None = None) -> argparse.ArgumentParser:
     named as ``add_parser`` would name it.
     """
     if name is not None:
-        parser = argparse.ArgumentParser(prog=f"quasinv {name}")
+        parser = _Parser(prog=f"quasinv {name}")
         _COMMANDS[name][1](parser)
         return parser
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quasinv",
         description="Unitary quasi-inverses of single-qubit channels "
         "by mean-square trace-distance maximization.",
@@ -229,27 +236,10 @@ def _add_format(sub_parser) -> None:
     sub_parser.add_argument("--format", choices=("json", "table"), default="json")
 
 
-def _emit_error(code: str, message: str) -> None:
-    _report_failure({"error": {"code": code, "message": message}}, "json", message)
-
-
 def _report_failure(doc: dict, fmt: str, message: str) -> None:
-    """Print a failed command's document to stdout, then ``error: message`` to stderr.
-
-    The stderr line goes out also when stdout did not take the document, as
-    it does when only the final flush fails: after a closed pipe, which is
-    dropped, and before the _OutputError of a stdout that refused it.
-    """
-    refused = None
-    try:
-        _print_doc(doc, fmt)
-    except BrokenPipeError:
-        pass
-    except _OutputError as exc:
-        refused = exc
-    print(f"error: {message}", file=sys.stderr)
-    if refused is not None:
-        raise refused
+    """Print a failed command's document to stdout, then ``error: message`` to stderr."""
+    _print_doc(doc, fmt)
+    _write(f"error: {message}\n", sys.stderr)
 
 
 def _read_document(path: str) -> ParsedChannel:
@@ -325,7 +315,7 @@ def cmd_zoo(args) -> int:
     if label is None:
         rendered = ", ".join(f"{p:g}" for p in args.params)
         label = f"{args.family}({rendered})"
-    _print(dumps(kraus_document(kraus, label), indent=2))
+    _write(dumps(kraus_document(kraus, label), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -337,9 +327,11 @@ def cmd_random(args) -> int:
     _check_range("--kraus", args.kraus, 1, 4)
     rng = RngStream(args.seed)
     for index in range(args.count):
+        if _refused is not None:  # stdout takes no more: the rest would be lost
+            break
         channel = random_channel(rng, args.kraus)
         label = f"random(seed={args.seed}, index={index}, kraus={args.kraus})"
-        _print(dumps(kraus_document(channel, label)))
+        _write(dumps(kraus_document(channel, label)) + "\n")
     return EXIT_OK
 
 
@@ -381,7 +373,7 @@ def _cpus() -> int:
 
 
 def _print_doc(doc: dict, fmt: str) -> None:
-    _print(_as_table(doc) if fmt == "table" else dumps(doc, indent=2))
+    _write((_as_table(doc) if fmt == "table" else dumps(doc, indent=2)) + "\n")
 
 
 def _as_table(doc: dict, prefix: str = "") -> str:

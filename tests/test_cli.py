@@ -398,6 +398,30 @@ class TestBrokenPipe:
         assert cli.main(["analyze", path]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_random_stops_at_a_closed_pipe(self, capsys, monkeypatch):
+        # the writer never raises, so the stream ends on its own once stdout takes nothing more
+        drawn = []
+        monkeypatch.setattr(cli, "random_channel", lambda *a: drawn.append(a) or random_channel(*a))
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert cli.main(["random", "--count", "50"]) == 0
+        assert (len(drawn), capsys.readouterr().err) == (1, "")
+
+    def test_failed_verification_into_closed_pipe_exits_4(self, capsys, tmp_path, monkeypatch):
+        # an unbuffered stdout sees the closed pipe at the write itself: the command's code stays
+        failed = VerificationReport(
+            channel_id="",
+            solver_delta=0.1,
+            best_sampled_delta=0.2,
+            n_samples=10000,
+            max_violation=0.1,
+            passed=False,
+        )
+        monkeypatch.setattr(quasinv.oracle, "verify", lambda *a, **kw: failed)
+        path = write_doc(tmp_path, {"type": "pauli", "p": [0.1, 0.6, 0.2, 0.1]})
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert cli.main(["verify", path, "--samples", "10000"]) == 4
+        assert capsys.readouterr().err == ""
+
 
 class TestSerialization:
     def test_floats_roundtrip_exactly(self, capsys):
@@ -1205,6 +1229,15 @@ def entry_env() -> dict:
     return dict(os.environ, PYTHONPATH=str(Path(quasinv.__file__).resolve().parents[1]))
 
 
+def buffering_env(unbuffered: bool) -> dict:
+    """``entry_env()`` with PYTHONUNBUFFERED set to 1, or unset, whatever the calling shell exports."""
+    env = entry_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 # the console script's route (what the script pip writes runs) and python -m
 ENTRIES = [["-c", "import sys; from quasinv.cli import run; sys.exit(run())"], ["-m", "quasinv.cli"]]
 
@@ -1287,7 +1320,8 @@ class TestProgramEntry:
             assert (events[-1], err) == (("exit", 1), expected.err + full)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-    @pytest.mark.parametrize("argv", [["analyze", "{path}"], ["random", "--count", "2000"]], ids=["analyze", "random"])
+    @pytest.mark.parametrize("argv", [["analyze", "{path}"], ["random", "--count", "2000"], ["-h"], ["analyze", "-h"]],
+                             ids=["analyze", "random", "help", "command-help"])
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("entry", ENTRIES, ids=["console-script", "module"])
     def test_full_disk_process_exits_1_with_one_error_line(self, tmp_path, entry, unbuffered, argv):
@@ -1301,6 +1335,48 @@ class TestProgramEntry:
             proc = subprocess.run([sys.executable, *entry, *argv],
                                   stdin=subprocess.DEVNULL, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
         assert (proc.returncode, proc.stderr) == (1, b"error: cannot write the output: No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("entry", ENTRIES, ids=["console-script", "module"])
+    def test_full_disk_usage_error_exits_2(self, capsys, entry, unbuffered):
+        # a usage error writes only to stderr, so a full stdout loses nothing
+        with pytest.raises(SystemExit):
+            cli.main(["analyze"])
+        usage = capsys.readouterr().err
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, *entry, "analyze"], stdin=subprocess.DEVNULL, stdout=full,
+                                  stderr=subprocess.PIPE, env=buffering_env(unbuffered), timeout=60)
+        assert (proc.returncode, proc.stderr.decode()) == (2, usage)
+        assert usage.startswith("usage: quasinv analyze") and "cannot write" not in usage
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("channel, code", [(None, 2), *ENTRY_CASES], ids=["missing-file", *ENTRY_IDS])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("entry", ENTRIES, ids=["console-script", "module"])
+    def test_full_stderr_keeps_the_commands_code(self, tmp_path, entry, unbuffered, channel, code):
+        # the error line is lost with nowhere to report it: the exit code stays the command's
+        path = str(tmp_path / "missing.json") if channel is None else write_doc(tmp_path, channel)
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, *entry, "analyze", path], stdin=subprocess.DEVNULL,
+                                  stdout=subprocess.DEVNULL, stderr=full, env=buffering_env(unbuffered), timeout=60)
+        assert proc.returncode == code
+
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"), BrokenPipeError()],
+                             ids=["full-disk", "closed-pipe"])
+    @pytest.mark.parametrize("argv, code", [(["-h"], 0), (["analyze", "-h"], 0), (["analyze"], 2)],
+                             ids=["help", "command-help", "usage-error"])
+    def test_argparse_output_into_a_refused_write(self, capsys, monkeypatch, argv, code, error):
+        # help goes to stdout through the one writer, so a refused write ends as a document's does
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        expected = capsys.readouterr()
+        events, out, err = self.run_entry(monkeypatch, argv, write_error=error)
+        assert out == ""
+        if code == 0 and not isinstance(error, BrokenPipeError):
+            assert (events[-1], err) == (("exit", 1), "error: cannot write the output: No space left on device\n")
+        else:
+            assert (events[-1], err) == (("exit", code), expected.err)
 
     def test_main_never_exits(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("main called os._exit"))
@@ -1339,6 +1415,23 @@ class TestProgramEntry:
                b"'gad', 'mixed_unitary', 'tetrahedron', 'unitary')\n",
             3: b"error: channel failed the CPTP check\n",
         }[code]
+
+
+class TestWarmCaller:
+    """A stdout write refused in one call of main is that call's failure only."""
+
+    def test_next_call_starts_clean(self, capsys, monkeypatch, tmp_path):
+        path = write_doc(tmp_path, GAD)
+        assert cli.main(["analyze", path]) == 0
+        plain = capsys.readouterr().out
+        full = OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(sys, "stdout", _Stream("stdout", [], write_error=full))
+        assert cli.main(["analyze", path]) == 1
+        assert capsys.readouterr().err == "error: cannot write the output: No space left on device\n"
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["analyze", path]) == 0
+        assert (out.getvalue(), capsys.readouterr().err) == (plain, "")
 
 
 class TestClosedPipeProcess:
